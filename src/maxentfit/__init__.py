@@ -41,7 +41,6 @@ from .maxent import (
     gaussian_prior,
     relative_entropy,
     solve_basis,
-    solve_basis_global,
 )
 from .approximator import (
     Approximant,
@@ -110,7 +109,6 @@ __all__ = [
     "gaussian_prior",
     "relative_entropy",
     "solve_basis",
-    "solve_basis_global",
     "Approximant",
     "Dataset",
     "FitReport",

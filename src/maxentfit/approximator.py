@@ -198,10 +198,52 @@ def solve_coefficients(psi_mat, y, alpha):
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    if alpha == 0:
-        return np.linalg.lstsq(psi_mat, y, rcond=None)[0], 0
     a, iterations, _ = l1_fit(psi_mat, y, alpha)
     return a, iterations
+
+
+def check_converged(evals) -> None:
+    """Raise FitError naming every basis solve in ``evals`` that did not converge."""
+    failed = [i for i, ev in enumerate(evals) if not ev.converged]
+    if failed:
+        raise FitError(
+            f"basis solve failed to converge at data points {failed}",
+            failed_indices=failed,
+        )
+
+
+def _fit_columns(nodes, data, beta, alpha, opts, hull_tol):
+    """Coefficients and fit reports for every value column of ``data``.
+
+    The basis matrix is evaluated once and shared by all columns, so a
+    column's coefficients do not depend on which other columns are fitted.
+
+    Returns
+    -------
+    coeff : (n_nodes, n_components) ndarray
+    reports : tuple of FitReport, one per column
+    """
+    if data.d != nodes.d:
+        raise DimensionError(f"data dimension {data.d} does not match nodes dimension {nodes.d}")
+    psi_mat, evals = basis_matrix(nodes, data.points, beta, opts=opts, hull_tol=hull_tol)
+    check_converged(evals)
+    coeff = np.empty((nodes.n, data.n_components))
+    reports = []
+    for j in range(data.n_components):
+        y = data.component(j)
+        try:
+            coeff[:, j], iterations = solve_coefficients(psi_mat, y, alpha)
+        except np.linalg.LinAlgError as err:
+            raise FitError(f"coefficient solve failed for component {j}: {err}", component=j) from err
+        residual = y - psi_mat @ coeff[:, j]
+        reports.append(
+            FitReport(
+                training_rms=float(np.sqrt(np.mean(residual**2))),
+                objective=float(np.linalg.norm(residual) + alpha * np.abs(coeff[:, j]).sum()),
+                solver_iterations=iterations,
+            )
+        )
+    return coeff, tuple(reports)
 
 
 def fit(
@@ -221,7 +263,7 @@ def fit(
     Raises
     ------
     OutsideHullError
-        A data point is outside the hull (``index`` identifies it).
+        Data points are outside the hull (``indices`` identifies them).
     FitError
         The basis solver failed to converge at one or more points.
     """
@@ -229,29 +271,13 @@ def fit(
         raise DimensionError(
             f"fit expects scalar observations, got {data.n_components} components"
         )
-    if data.d != nodes.d:
-        raise DimensionError(f"data dimension {data.d} does not match nodes dimension {nodes.d}")
-    psi_mat, evals = basis_matrix(nodes, data.points, beta, opts=opts, hull_tol=hull_tol)
-    failed = [i for i, ev in enumerate(evals) if not ev.converged]
-    if failed:
-        raise FitError(
-            f"basis solve failed to converge at data points {failed}",
-            failed_indices=failed,
-        )
-    y = data.component(0)
-    coeffs, iterations = solve_coefficients(psi_mat, y, alpha)
-    residual = y - psi_mat @ coeffs
-    report = FitReport(
-        training_rms=float(np.sqrt(np.mean(residual**2))),
-        objective=float(np.linalg.norm(residual) + alpha * np.abs(coeffs).sum()),
-        solver_iterations=iterations,
-    )
+    coeff, reports = _fit_columns(nodes, data, beta, alpha, opts, hull_tol)
     return Approximant(
         nodes=nodes,
         beta=float(beta),
         alpha=float(alpha),
-        coefficients=coeffs,
-        fit_report=report,
+        coefficients=coeff[:, 0],
+        fit_report=reports[0],
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .geometry import as_points
 from .approximator import Dataset
 
 
@@ -75,13 +76,7 @@ class Dictionary:
 
     def evaluate(self, points) -> np.ndarray:
         """Feature matrix of shape ``(n_points, n_features)``."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise DimensionError(
-                f"points must have shape (m, {self.dimension}), got {pts.shape}"
-            )
+        pts = as_points(points, self.dimension)
         cols = [np.prod(pts ** np.asarray(e), axis=1) for e in self._exponents]
         if self.trig:
             w = self.trig_frequency

@@ -18,12 +18,10 @@ import numpy as np
 from .errors import ConfigError, NumericalBlowup
 from .geometry import HullLocation, NodeSet, augment_nodes, grid_nodes, in_hull
 from .maxent import SolverOptions
-from .approximator import Approximant, Dataset, fit, predict_batch
+from .approximator import Dataset, fit, predict_batch
 from .baselines import Dictionary, dict_fit, dict_predict, dict_predict_batch
 from .dynamics import (
-    SurrogateModel,
     Trajectory,
-    eval_field,
     fit_dynamics,
     integrate,
     trajectory_rms,
@@ -114,13 +112,9 @@ class Report:
     runtime_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": self.config,
-            "training_rms": self.training_rms,
-            "test_rms": self.test_rms,
-            "extras": self.extras,
-        }
+        fields = dataclasses.asdict(self)
+        del fields["runtime_s"]
+        return fields
 
 
 def default_config(name: str) -> ExperimentConfig:
@@ -221,17 +215,7 @@ def _rosenbrock_fn(x: np.ndarray) -> np.ndarray:
 
 def lorenz_rhs(sigma: float = 10.0, rho: float = 28.0, gamma: float = 8.0 / 3.0):
     """Right-hand side of the Lorenz system as a state -> derivative callable."""
-
-    def rhs(s):
-        return np.array(
-            [
-                sigma * (s[1] - s[0]),
-                s[0] * (rho - s[2]) - s[1],
-                s[0] * s[1] - gamma * s[2],
-            ]
-        )
-
-    return rhs
+    return lambda s: _lorenz_rhs_batch(np.asarray(s, dtype=float)[None], sigma, rho, gamma)[0]
 
 
 def _lorenz_rhs_batch(states, sigma, rho, gamma):
@@ -249,18 +233,7 @@ def orbit_rhs(mu: float, ecc: float, h0: float):
     ``thetaddot = -2 thetadot rdot / r``; angular momentum ``r^2 thetadot``
     is a constant of motion of this system.
     """
-
-    def rhs(s):
-        return np.array(
-            [
-                s[1],
-                (mu * ecc / h0) * s[3] * np.cos(s[2]),
-                s[3],
-                -2.0 * s[3] * s[1] / s[0],
-            ]
-        )
-
-    return rhs
+    return lambda s: _orbit_rhs_batch(np.asarray(s, dtype=float)[None], mu, ecc, h0)[0]
 
 
 def _orbit_rhs_batch(states, mu, ecc, h0):
@@ -315,9 +288,8 @@ def gen_sine(config: ExperimentConfig):
     return train, test, nodes
 
 
-def gen_gauss2d(config: ExperimentConfig):
-    """2-D damped-exponential target on tensor grids over the unit square."""
-    fn = lambda p: _gauss2d_fn(p, config.caption_variant)  # noqa: E731
+def _gen_tensor(config: ExperimentConfig, fn):
+    """Target ``fn`` sampled on train/test tensor grids, with a node grid over ``bounds``."""
     train_x = _tensor_points(config.bounds, config.train_resolution, config.interior_grids)
     test_x = _tensor_points(config.bounds, config.test_resolution, config.interior_grids)
     train = Dataset(train_x, fn(train_x))
@@ -326,14 +298,14 @@ def gen_gauss2d(config: ExperimentConfig):
     return train, test, nodes
 
 
+def gen_gauss2d(config: ExperimentConfig):
+    """2-D damped-exponential target on tensor grids over the unit square."""
+    return _gen_tensor(config, lambda p: _gauss2d_fn(p, config.caption_variant))
+
+
 def gen_rosenbrock(config: ExperimentConfig):
     """Rosenbrock target on tensor grids over ``[-1, 1]^2``."""
-    train_x = _tensor_points(config.bounds, config.train_resolution, config.interior_grids)
-    test_x = _tensor_points(config.bounds, config.test_resolution, config.interior_grids)
-    train = Dataset(train_x, _rosenbrock_fn(train_x))
-    test = Dataset(test_x, _rosenbrock_fn(test_x))
-    nodes = grid_nodes(config.bounds, config.grid_counts)
-    return train, test, nodes
+    return _gen_tensor(config, _rosenbrock_fn)
 
 
 def _padded_bounds(states: np.ndarray, pad_fraction: float) -> list:
@@ -422,9 +394,13 @@ def gen_orbit(config: ExperimentConfig):
 _STATIC_GENERATORS = {"sine": gen_sine, "gauss2d": gen_gauss2d, "rosenbrock": gen_rosenbrock}
 
 
+def _fit_dictionary(config: ExperimentConfig, train: Dataset):
+    """The dictionary-regression baseline fitted to the training data."""
+    return dict_fit(config.dictionary(train.d), train, config.dict_threshold, config.dict_sweeps)
+
+
 def _run_static(config: ExperimentConfig, baseline: bool):
-    gen = _STATIC_GENERATORS[config.name]
-    train, test, nodes = gen(config)
+    train, test, nodes = _STATIC_GENERATORS[config.name](config)
     opts = config.solver_options()
     model = fit(nodes, train, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol)
     test_pred = predict_batch(model, test.points, opts=opts)
@@ -436,9 +412,7 @@ def _run_static(config: ExperimentConfig, baseline: bool):
         "test_pred": test_pred,
     }
     if baseline:
-        dmodel = dict_fit(
-            config.dictionary(train.d), train, config.dict_threshold, config.dict_sweeps
-        )
+        dmodel = _fit_dictionary(config, train)
         base_train = dict_predict_batch(dmodel, train.points)[:, 0]
         base_test = dict_predict_batch(dmodel, test.points)[:, 0]
         extras["baseline_training_rms"] = float(
@@ -486,58 +460,81 @@ def _max_deviation(model_traj: Trajectory, truth: Trajectory, t_max: float) -> f
     return float(dev.max())
 
 
-def _fit_field(config: ExperimentConfig, train: Dataset, nodes: NodeSet) -> SurrogateModel:
-    return fit_dynamics(
-        nodes, train, config.beta, config.alpha,
-        opts=config.solver_options(), hull_tol=config.hull_tol,
-    )
-
-
-def _safe_rollout(field, x0, t_span, dt, substeps=1):
+def _safe_rollout(field, x0, t_span, dt):
     """Integrate, converting a numerical blowup into the valid prefix."""
     try:
-        return integrate(field, x0, t_span, dt, substeps=substeps), False
+        return integrate(field, x0, t_span, dt), False
     except NumericalBlowup as err:
         if err.times is None or len(err.times) == 0:
             raise
         return Trajectory(err.times, err.states), True
 
 
-def _run_lorenz(config: ExperimentConfig, baseline: bool):
-    train, truth, nodes = gen_lorenz(config)
-    model = _fit_field(config, train, nodes)
-    per_component = [r.training_rms for r in model.fit_reports]
-    training_rms = float(np.sqrt(np.mean(np.square(per_component))))
+def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs, horizon, dt):
+    """Fit the field surrogate, then roll it and the true field ``rhs`` out.
 
-    dt = config.rollout_dt if config.rollout_dt is not None else config.t_end / (config.n_train - 1)
-    x0 = truth.states[0]
-    rhs = lorenz_rhs(config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma)
-    truth_roll = integrate(rhs, x0, (0.0, config.t_end), dt, substeps=config.oversample)
-    model_traj, blew_up = _safe_rollout(model, x0, (0.0, config.t_end), dt)
+    Both rollouts start from the first training state and run over
+    ``[0, horizon]`` at output step ``dt``. Returns the report holding the
+    extras every dynamics experiment shares, the trajectory artifacts, and
+    whether the surrogate rollout blew up.
+    """
+    model = fit_dynamics(
+        nodes, train, config.beta, config.alpha,
+        opts=config.solver_options(), hull_tol=config.hull_tol,
+    )
+    per_component = [r.training_rms for r in model.fit_reports]
+    x0 = train.points[0]
+    truth_roll = integrate(rhs, x0, (0.0, horizon), dt, substeps=config.oversample)
+    model_traj, blew_up = _safe_rollout(model, x0, (0.0, horizon), dt)
 
     n = min(model_traj.n_samples, truth_roll.n_samples)
     rms_full = trajectory_rms(_prefix(model_traj, n), _prefix(truth_roll, n))
-    rms_early = _windowed_rms(model_traj, truth_roll, 0.2 * config.t_end)
     extras = {
         "n_nodes": nodes.n,
         "n_train": train.n,
         "derivative_rms_per_component": per_component,
         "trajectory_rms_full": rms_full,
-        "trajectory_rms_early": rms_early,
-        "early_window_fraction": 0.2,
         "rollout_samples": model_traj.n_samples,
         "rollout_exit_time": (
             model_traj.domain_exit.time if model_traj.domain_exit is not None else None
         ),
-        "rollout_blowup": blew_up,
     }
+    report = Report(
+        name=config.name,
+        config=config.to_dict(),
+        training_rms=float(np.sqrt(np.mean(np.square(per_component)))),
+        test_rms=rms_full,
+        extras=extras,
+    )
     artifacts = {"train": train, "truth_traj": truth_roll, "model_traj": model_traj}
+    return report, artifacts, blew_up
+
+
+def _baseline_rollout(config: ExperimentConfig, train: Dataset, horizon, dt):
+    """Fit the dictionary baseline and roll it out like the surrogate.
+
+    Returns the baseline model, its trajectory, and whether it blew up.
+    """
+    dmodel = _fit_dictionary(config, train)
+    base_field = lambda s: dict_predict(dmodel, s)  # noqa: E731
+    base_traj, blew_up = _safe_rollout(base_field, train.points[0], (0.0, horizon), dt)
+    return dmodel, base_traj, blew_up
+
+
+def _run_lorenz(config: ExperimentConfig, baseline: bool):
+    train, _, nodes = gen_lorenz(config)
+    dt = config.rollout_dt if config.rollout_dt is not None else config.t_end / (config.n_train - 1)
+    rhs = lorenz_rhs(config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma)
+    report, artifacts, blew_up = _fit_and_roll(config, train, nodes, rhs, config.t_end, dt)
+    truth_roll = artifacts["truth_traj"]
+    extras = report.extras
+    extras["trajectory_rms_early"] = _windowed_rms(
+        artifacts["model_traj"], truth_roll, 0.2 * config.t_end
+    )
+    extras["early_window_fraction"] = 0.2
+    extras["rollout_blowup"] = blew_up
     if baseline:
-        dmodel = dict_fit(
-            config.dictionary(train.d), train, config.dict_threshold, config.dict_sweeps
-        )
-        base_field = lambda s: dict_predict(dmodel, s)  # noqa: E731
-        base_traj, base_blowup = _safe_rollout(base_field, x0, (0.0, config.t_end), dt)
+        dmodel, base_traj, base_blowup = _baseline_rollout(config, train, config.t_end, dt)
         nb = min(base_traj.n_samples, truth_roll.n_samples)
         extras["baseline_trajectory_rms_full"] = trajectory_rms(
             _prefix(base_traj, nb), _prefix(truth_roll, nb)
@@ -549,24 +546,13 @@ def _run_lorenz(config: ExperimentConfig, baseline: bool):
             for j in range(train.d)
         ]
         artifacts["baseline_traj"] = base_traj
-    report = Report(
-        name=config.name,
-        config=config.to_dict(),
-        training_rms=training_rms,
-        test_rms=rms_full,
-        extras=extras,
-    )
     return report, artifacts
 
 
 def _run_orbit(config: ExperimentConfig, baseline: bool):
-    train, truth, nodes = gen_orbit(config)
+    train, _, nodes = gen_orbit(config)
     consts = orbit_constants(config)
     h0, period = consts["h0"], consts["period"]
-    model = _fit_field(config, train, nodes)
-    per_component = [r.training_rms for r in model.fit_reports]
-    training_rms = float(np.sqrt(np.mean(np.square(per_component))))
-
     data_t_end = config.t_end if config.t_end is not None else config.orbit_periods * period
     horizon = (
         config.rollout_periods * period if config.rollout_periods is not None else data_t_end
@@ -574,48 +560,32 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
     dt = config.rollout_dt if config.rollout_dt is not None else min(
         data_t_end / (config.n_train - 1), period / 200.0
     )
-    x0 = truth.states[0]
     rhs = orbit_rhs(config.orbit_mu, config.orbit_ecc, h0)
-    truth_roll = integrate(rhs, x0, (0.0, horizon), dt, substeps=config.oversample)
-    model_traj, blew_up = _safe_rollout(model, x0, (0.0, horizon), dt)
+    report, artifacts, blew_up = _fit_and_roll(config, train, nodes, rhs, horizon, dt)
+    model_traj, truth_roll = artifacts["model_traj"], artifacts["truth_traj"]
 
     n = min(model_traj.n_samples, truth_roll.n_samples)
-    rms_full = trajectory_rms(_prefix(model_traj, n), _prefix(truth_roll, n))
     h_err = angular_momentum_error(_prefix(model_traj, n), h0)
     h_err_truth = angular_momentum_error(truth_roll, h0)
-    extras = {
-        "n_nodes": nodes.n,
-        "n_train": train.n,
-        "period": period,
-        "h0": h0,
-        "derivative_rms_per_component": per_component,
-        "trajectory_rms_full": rms_full,
-        "rollout_horizon": horizon,
-        "rollout_samples": model_traj.n_samples,
-        "rollout_completed": bool(
-            model_traj.domain_exit is None
-            and not blew_up
-            and model_traj.n_samples == truth_roll.n_samples
-        ),
-        "rollout_exit_time": (
-            model_traj.domain_exit.time if model_traj.domain_exit is not None else None
-        ),
-        "max_angular_momentum_error": float(h_err.max()) if h_err.size else float("inf"),
-        "truth_max_angular_momentum_error": float(h_err_truth.max()),
-    }
-    artifacts = {
-        "train": train,
-        "truth_traj": truth_roll,
-        "model_traj": model_traj,
-        "h_err_model": h_err,
-        "h_err_truth": h_err_truth,
-    }
+    extras = report.extras
+    extras.update(
+        {
+            "period": period,
+            "h0": h0,
+            "rollout_horizon": horizon,
+            "rollout_completed": bool(
+                model_traj.domain_exit is None
+                and not blew_up
+                and model_traj.n_samples == truth_roll.n_samples
+            ),
+            "max_angular_momentum_error": float(h_err.max()) if h_err.size else float("inf"),
+            "truth_max_angular_momentum_error": float(h_err_truth.max()),
+        }
+    )
+    artifacts["h_err_model"] = h_err
+    artifacts["h_err_truth"] = h_err_truth
     if baseline:
-        dmodel = dict_fit(
-            config.dictionary(train.d), train, config.dict_threshold, config.dict_sweeps
-        )
-        base_field = lambda s: dict_predict(dmodel, s)  # noqa: E731
-        base_traj, base_blowup = _safe_rollout(base_field, x0, (0.0, horizon), dt)
+        _, base_traj, base_blowup = _baseline_rollout(config, train, horizon, dt)
         window = 0.1 * period
         maxent_dev = _max_deviation(model_traj, truth_roll, window)
         base_dev = _max_deviation(base_traj, truth_roll, window)
@@ -626,23 +596,16 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
         extras["baseline_deviation_ratio"] = (
             base_dev / maxent_dev if maxent_dev > 0 else float("inf")
         )
+        # Both trajectories hold at least the initial state, so nb >= 1.
         nb = min(base_traj.n_samples, truth_roll.n_samples)
-        if nb > 0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_ok = np.all(base_traj.states[:nb, 0] > 0)
-            extras["baseline_trajectory_rms_prefix"] = trajectory_rms(
-                _prefix(base_traj, nb), _prefix(truth_roll, nb)
-            )
-            if r_ok:
-                artifacts["h_err_baseline"] = angular_momentum_error(_prefix(base_traj, nb), h0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_ok = np.all(base_traj.states[:nb, 0] > 0)
+        extras["baseline_trajectory_rms_prefix"] = trajectory_rms(
+            _prefix(base_traj, nb), _prefix(truth_roll, nb)
+        )
+        if r_ok:
+            artifacts["h_err_baseline"] = angular_momentum_error(_prefix(base_traj, nb), h0)
         artifacts["baseline_traj"] = base_traj
-    report = Report(
-        name=config.name,
-        config=config.to_dict(),
-        training_rms=training_rms,
-        test_rms=rms_full,
-        extras=extras,
-    )
     return report, artifacts
 
 
@@ -659,8 +622,6 @@ def run_experiment(
     ``out_dir``: ``report.json``, ``train.csv``, and either
     ``test_predictions.csv`` or the trajectory CSV pair.
     """
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     config = apply_overrides(default_config(name), overrides)
     start = time.perf_counter()
     if name in _STATIC_GENERATORS:

@@ -19,6 +19,7 @@ Every RunConfig key can be overridden through the environment as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -37,11 +38,11 @@ from .errors import (
     NumericalBlowup,
     OutsideHullError,
 )
-from .geometry import HullLocation, NodeSet, augment_nodes, grid_nodes, in_hull
-from .maxent import SolverOptions
-from .approximator import Approximant, fit, predict_batch
-from .dynamics import SurrogateModel, fit_dynamics, integrate
-from .dynamics import Trajectory  # noqa: F401  (re-exported for scripting)
+from .geometry import NodeSet, augment_nodes, grid_nodes
+from .geometry import in_hull  # noqa: F401  (perfbench/test_perfbench.py traces this binding)
+from .maxent import SolverOptions, basis_matrix
+from .approximator import Approximant, check_converged, fit
+from .dynamics import SurrogateModel, Trajectory, fit_dynamics, integrate
 
 ENV_PREFIX = "MAXENTFIT_"
 
@@ -75,7 +76,6 @@ class RunConfig:
     hessian_ridge: float = 1e-12
     line_search_shrink: float = 0.5
     hull_tol: float = 1e-9
-    threads: int = 1
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -89,14 +89,10 @@ class RunConfig:
         )
 
 
-def _config_fields() -> dict:
-    return {f.name: f for f in dataclasses.fields(RunConfig)}
-
-
 def load_run_config(path=None, env=None) -> RunConfig:
     """Merge defaults, an optional JSON config file, and environment overrides."""
     config = RunConfig()
-    fields = _config_fields()
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
     if path is not None:
         p = Path(path)
         try:
@@ -146,17 +142,30 @@ def _build_nodes(config: RunConfig, points: np.ndarray) -> NodeSet:
     return grid
 
 
-def _outside_rows(nodes: NodeSet, points: np.ndarray, tol: float) -> list[int]:
-    return [
-        i
-        for i, p in enumerate(points)
-        if in_hull(nodes, p, tol) is HullLocation.OUTSIDE
-    ]
-
-
 def _csv_rows(indices) -> str:
     # +2: one for the header line, one for 1-based numbering.
     return ", ".join(str(i + 2) for i in indices)
+
+
+@contextlib.contextmanager
+def _naming_csv_rows(path):
+    """Re-raise per-row hull and convergence failures naming the CSV lines of ``path``."""
+    try:
+        yield
+    except OutsideHullError as err:
+        raise OutsideHullError(
+            f"{path}: rows {_csv_rows(err.indices)} lie outside the node hull",
+            point=err.point,
+            index=err.index,
+            indices=err.indices,
+        ) from None
+    except FitError as err:
+        if not err.failed_indices:
+            raise
+        raise FitError(
+            f"{path}: basis solve failed to converge at rows {_csv_rows(err.failed_indices)}",
+            failed_indices=err.failed_indices,
+        ) from None
 
 
 def cmd_fit(args) -> int:
@@ -166,21 +175,16 @@ def cmd_fit(args) -> int:
         return EXIT_OK
     data = fileio.read_dataset_csv(args.data)
     nodes = _build_nodes(config, data.points)
-    outside = _outside_rows(nodes, data.points, config.hull_tol)
-    if outside:
-        raise OutsideHullError(
-            f"{args.data}: rows {_csv_rows(outside)} lie outside the node hull",
-            index=outside[0],
-        )
     opts = config.solver_options()
-    if data.values.ndim == 1:  # 'f' column: scalar approximant
-        model = fit(nodes, data, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol)
-        rms = model.fit_report.training_rms
-    else:  # 'dx*' columns: vector-field surrogate
-        model = fit_dynamics(
-            nodes, data, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol
-        )
-        rms = float(np.sqrt(np.mean([r.training_rms**2 for r in model.fit_reports])))
+    with _naming_csv_rows(args.data):
+        if data.values.ndim == 1:  # 'f' column: scalar approximant
+            model = fit(nodes, data, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol)
+            rms = model.fit_report.training_rms
+        else:  # 'dx*' columns: vector-field surrogate
+            model = fit_dynamics(
+                nodes, data, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol
+            )
+            rms = float(np.sqrt(np.mean([r.training_rms**2 for r in model.fit_reports])))
     fileio.save_model(args.out, model)
     print(f"fit: {data.n} points, {nodes.n} nodes, training_rms={rms:.6e} -> {args.out}")
     return EXIT_OK
@@ -189,19 +193,16 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     model = fileio.load_model(args.model)
     points = fileio.read_points_csv(args.points)
-    hull_tol = load_run_config(args.config).hull_tol
-    outside = _outside_rows(model.nodes, points, hull_tol)
-    if outside:
-        raise OutsideHullError(
-            f"{args.points}: rows {_csv_rows(outside)} lie outside the node hull",
-            index=outside[0],
+    config = load_run_config(args.config)
+    with _naming_csv_rows(args.points):
+        psi_mat, evals = basis_matrix(
+            model.nodes, points, model.beta,
+            opts=config.solver_options(), hull_tol=config.hull_tol,
         )
+        check_converged(evals)
     if isinstance(model, Approximant):
-        columns = {"f_pred": predict_batch(model, points)}
+        columns = {"f_pred": psi_mat @ model.coefficients}
     else:
-        from .maxent import basis_matrix
-
-        psi_mat, _ = basis_matrix(model.nodes, points, model.beta)
         pred = psi_mat @ model.coeff_matrix
         columns = {f"dx{j + 1}_pred": pred[:, j] for j in range(pred.shape[1])}
     fileio.write_predictions_csv(args.out, points, columns)
@@ -217,15 +218,10 @@ def cmd_simulate(args) -> int:
         x0 = [float(tok) for tok in args.x0.split(",")]
     except ValueError:
         raise ConfigError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
-    if args.dt <= 0:
-        raise ConfigError(f"--dt must be positive, got {args.dt}")
-    if args.t1 <= 0:
-        raise ConfigError(f"--t1 must be positive, got {args.t1}")
     try:
         traj = integrate(model, x0, (0.0, args.t1), args.dt)
     except NumericalBlowup as err:
-        if err.times is not None and len(err.times) > 0:
-            fileio.write_trajectory_csv(args.out, Trajectory(err.times, err.states))
+        fileio.write_trajectory_csv(args.out, Trajectory(err.times, err.states))
         print(
             f"simulate: numerical blowup after t={err.times[-1]!r}; "
             f"partial trajectory -> {args.out}",
@@ -312,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--points", required=True, help="CSV with columns x1..xd")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--config", default=None, help="JSON run-config file (hull tolerance)")
+    p_eval.add_argument(
+        "--config", default=None, help="JSON run-config file (hull tolerance, solver keys)"
+    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="integrate a field model forward in time")

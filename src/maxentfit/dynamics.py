@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FitError, NumericalBlowup, OutsideHullError
+from .errors import DimensionError, DomainError, NumericalBlowup, OutsideHullError
 from .geometry import DEFAULT_HULL_TOL, NodeSet, as_point
-from .maxent import DEFAULT_OPTIONS, SolverOptions, basis_matrix, solve_basis
-from .approximator import Dataset, FitReport, solve_coefficients
+from .maxent import DEFAULT_OPTIONS, SolverOptions, solve_basis
+from .approximator import Dataset, FitReport, _fit_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,38 +96,13 @@ def fit_dynamics(
         raise DimensionError(
             f"field data needs d = {data.d} value columns, got {data.n_components}"
         )
-    if data.d != nodes.d:
-        raise DimensionError(f"data dimension {data.d} does not match nodes dimension {nodes.d}")
-    psi_mat, evals = basis_matrix(nodes, data.points, beta, opts=opts, hull_tol=hull_tol)
-    failed = [i for i, ev in enumerate(evals) if not ev.converged]
-    if failed:
-        raise FitError(
-            f"basis solve failed to converge at data points {failed}",
-            failed_indices=failed,
-        )
-    d = data.d
-    coeff = np.empty((nodes.n, d))
-    reports = []
-    for j in range(d):
-        y = data.component(j)
-        try:
-            coeff[:, j], iterations = solve_coefficients(psi_mat, y, alpha)
-        except Exception as err:  # tag the failing component for the caller
-            raise FitError(f"coefficient solve failed for component {j}: {err}", component=j) from err
-        residual = y - psi_mat @ coeff[:, j]
-        reports.append(
-            FitReport(
-                training_rms=float(np.sqrt(np.mean(residual**2))),
-                objective=float(np.linalg.norm(residual) + alpha * np.abs(coeff[:, j]).sum()),
-                solver_iterations=iterations,
-            )
-        )
+    coeff, reports = _fit_columns(nodes, data, beta, alpha, opts, hull_tol)
     return SurrogateModel(
         nodes=nodes,
         beta=float(beta),
         alpha=float(alpha),
         coeff_matrix=coeff,
-        fit_reports=tuple(reports),
+        fit_reports=reports,
     )
 
 

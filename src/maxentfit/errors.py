@@ -18,12 +18,17 @@ class DomainError(MaxentError, ValueError):
 
 
 class OutsideHullError(MaxentError, ValueError):
-    """Query point lies outside the convex hull of the basis nodes."""
+    """Query point lies outside the convex hull of the basis nodes.
 
-    def __init__(self, message, point=None, index=None):
+    For a batch, ``indices`` names every outside row and ``index`` and
+    ``point`` the first of them.
+    """
+
+    def __init__(self, message, point=None, index=None, indices=()):
         super().__init__(message)
         self.point = point
         self.index = index
+        self.indices = tuple(indices)
 
 
 class FitError(MaxentError, RuntimeError):

@@ -9,6 +9,7 @@ fixed-seed runs are byte-identical. CSV files are UTF-8, comma-separated,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -37,14 +38,15 @@ def _point_columns(d: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)]
 
 
-def read_dataset_csv(path) -> Dataset:
-    """Read a dataset: columns ``x1..xd`` plus ``f`` or ``dx1..dxd``.
+def _read_table(path):
+    """Header and non-empty rows of a CSV whose columns start with ``x1..xd``.
 
-    Raises ConfigError on malformed headers, ragged rows, or non-numeric
-    cells, naming the offending line.
+    Returns ``(d, rest, rows)``: the number of point columns, the header
+    cells after them, and ``(line_no, cells)`` per data row. Raises
+    ConfigError on an empty file, a header not starting with ``x1``, or a
+    file without data rows.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -56,28 +58,37 @@ def read_dataset_csv(path) -> Dataset:
             d += 1
         if d == 0:
             raise ConfigError(f"{path}: header must start with x1, got {header[:1]}")
-        rest = header[d:]
-        if rest == ["f"]:
-            value_cols = 1
-        elif rest == [f"dx{i + 1}" for i in range(d)]:
-            value_cols = d
-        else:
-            raise ConfigError(
-                f"{path}: value columns must be ['f'] or ['dx1'..'dx{d}'], got {rest}"
-            )
-        points, values = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + value_cols:
-                raise ConfigError(
-                    f"{path}: line {line_no}: expected {d + value_cols} cells, got {len(row)}"
-                )
-            nums = [_parse_float(tok, path, line_no) for tok in row]
-            points.append(nums[:d])
-            values.append(nums[d:])
-    if not points:
+        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
+    return d, header[d:], rows
+
+
+def read_dataset_csv(path) -> Dataset:
+    """Read a dataset: columns ``x1..xd`` plus ``f`` or ``dx1..dxd``.
+
+    Raises ConfigError on malformed headers, ragged rows, or non-numeric
+    cells, naming the offending line.
+    """
+    path = Path(path)
+    d, rest, rows = _read_table(path)
+    if rest == ["f"]:
+        value_cols = 1
+    elif rest == [f"dx{i + 1}" for i in range(d)]:
+        value_cols = d
+    else:
+        raise ConfigError(
+            f"{path}: value columns must be ['f'] or ['dx1'..'dx{d}'], got {rest}"
+        )
+    points, values = [], []
+    for line_no, row in rows:
+        if len(row) != d + value_cols:
+            raise ConfigError(
+                f"{path}: line {line_no}: expected {d + value_cols} cells, got {len(row)}"
+            )
+        nums = [_parse_float(tok, path, line_no) for tok in row]
+        points.append(nums[:d])
+        values.append(nums[d:])
     pts = np.asarray(points)
     vals = np.asarray(values)
     # Scalar datasets ('f') carry 1-D values; field datasets ('dx*') stay
@@ -87,137 +98,81 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(pts, vals)
 
 
-def write_dataset_csv(path, dataset: Dataset) -> None:
-    path = Path(path)
-    d = dataset.d
-    # 1-D values are a scalar target; 2-D values are field components,
-    # mirroring read_dataset_csv.
-    header = _point_columns(d) + (
-        ["f"] if dataset.values.ndim == 1 else [f"dx{i + 1}" for i in range(dataset.n_components)]
-    )
-    values = dataset.values if dataset.values.ndim == 2 else dataset.values[:, None]
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def _write_rows(path, header: list[str], rows) -> None:
+    """Write a header line, then one line per row of floats."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for p, v in zip(dataset.points, values):
-            writer.writerow([_fmt(x) for x in p] + [_fmt(x) for x in v])
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+
+
+def write_dataset_csv(path, dataset: Dataset) -> None:
+    # 1-D values are a scalar target; 2-D values are field components,
+    # mirroring read_dataset_csv.
+    header = _point_columns(dataset.d) + (
+        ["f"] if dataset.values.ndim == 1 else [f"dx{i + 1}" for i in range(dataset.n_components)]
+    )
+    _write_rows(path, header, np.column_stack([dataset.points, dataset.values]))
 
 
 def read_points_csv(path) -> np.ndarray:
     """Read query points: columns ``x1..xd`` (extra value columns are ignored)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        d = 0
-        while d < len(header) and header[d] == f"x{d + 1}":
-            d += 1
-        if d == 0:
-            raise ConfigError(f"{path}: header must start with x1, got {header[:1]}")
-        points = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < d:
-                raise ConfigError(f"{path}: line {line_no}: expected at least {d} cells")
-            points.append([_parse_float(tok, path, line_no) for tok in row[:d]])
-    if not points:
-        raise ConfigError(f"{path}: no data rows")
+    d, _, rows = _read_table(path)
+    points = []
+    for line_no, row in rows:
+        if len(row) < d:
+            raise ConfigError(f"{path}: line {line_no}: expected at least {d} cells")
+        points.append([_parse_float(tok, path, line_no) for tok in row[:d]])
     return np.asarray(points)
 
 
 def write_predictions_csv(path, points: np.ndarray, columns: dict) -> None:
     """Write points plus named prediction columns."""
-    path = Path(path)
-    d = points.shape[1]
     names = list(columns)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_point_columns(d) + names)
-        for i, p in enumerate(points):
-            writer.writerow(
-                [_fmt(x) for x in p] + [_fmt(columns[name][i]) for name in names]
-            )
+    rows = np.column_stack([points] + [columns[name] for name in names])
+    _write_rows(path, _point_columns(points.shape[1]) + names, rows)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + _point_columns(traj.d))
-        for t, s in zip(traj.times, traj.states):
-            writer.writerow([_fmt(t)] + [_fmt(x) for x in s])
+    _write_rows(path, ["t"] + _point_columns(traj.d), np.column_stack([traj.times, traj.states]))
 
 
 def write_series_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    path = Path(path)
+    """Write equal-length prefixes of ``columns``: as many rows as the shortest has."""
     n = min(len(c) for c in columns)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([_fmt(c[i]) for c in columns])
+    _write_rows(path, header, np.column_stack([c[:n] for c in columns]))
 
 
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
 
-def _nodes_to_dict(nodes: NodeSet) -> dict:
-    return {
-        "nodes": nodes.nodes.tolist(),
-        "box": None if nodes.box is None else nodes.box.tolist(),
-    }
-
-
-def _nodes_from_dict(payload: dict) -> NodeSet:
-    return NodeSet(np.asarray(payload["nodes"]), box=payload.get("box"))
-
-
-def _report_to_dict(report: FitReport) -> dict:
-    return {
-        "training_rms": report.training_rms,
-        "objective": report.objective,
-        "solver_iterations": report.solver_iterations,
-    }
-
-
-def _report_from_dict(payload: dict) -> FitReport:
-    return FitReport(
-        training_rms=payload["training_rms"],
-        objective=payload["objective"],
-        solver_iterations=payload["solver_iterations"],
-    )
-
-
 def save_model(path, model) -> None:
     """Write an Approximant or SurrogateModel as a JSON model file."""
     if isinstance(model, Approximant):
-        payload = {
-            "format": MODEL_FORMAT,
+        fitted = {
             "kind": "scalar",
-            "beta": model.beta,
-            "alpha": model.alpha,
-            **_nodes_to_dict(model.nodes),
             "coefficients": model.coefficients.tolist(),
-            "fit_report": _report_to_dict(model.fit_report),
+            "fit_report": dataclasses.asdict(model.fit_report),
         }
     elif isinstance(model, SurrogateModel):
-        payload = {
-            "format": MODEL_FORMAT,
+        fitted = {
             "kind": "field",
-            "beta": model.beta,
-            "alpha": model.alpha,
-            **_nodes_to_dict(model.nodes),
             "coefficients": model.coeff_matrix.tolist(),
-            "fit_reports": [_report_to_dict(r) for r in model.fit_reports],
+            "fit_reports": [dataclasses.asdict(r) for r in model.fit_reports],
         }
     else:
         raise ConfigError(f"cannot save object of type {type(model).__name__}")
+    nodes = model.nodes
+    payload = {
+        "format": MODEL_FORMAT,
+        "beta": model.beta,
+        "alpha": model.alpha,
+        "nodes": nodes.nodes.tolist(),
+        "box": None if nodes.box is None else nodes.box.tolist(),
+        **fitted,
+    }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -230,23 +185,20 @@ def load_model(path):
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} file")
-    nodes = _nodes_from_dict(payload)
+    nodes = NodeSet(np.asarray(payload["nodes"]), box=payload.get("box"))
+    shared = {"nodes": nodes, "beta": payload["beta"], "alpha": payload["alpha"]}
     kind = payload.get("kind")
     if kind == "scalar":
         return Approximant(
-            nodes=nodes,
-            beta=payload["beta"],
-            alpha=payload["alpha"],
+            **shared,
             coefficients=np.asarray(payload["coefficients"]),
-            fit_report=_report_from_dict(payload["fit_report"]),
+            fit_report=FitReport(**payload["fit_report"]),
         )
     if kind == "field":
         return SurrogateModel(
-            nodes=nodes,
-            beta=payload["beta"],
-            alpha=payload["alpha"],
+            **shared,
             coeff_matrix=np.asarray(payload["coefficients"]),
-            fit_reports=tuple(_report_from_dict(r) for r in payload["fit_reports"]),
+            fit_reports=tuple(FitReport(**r) for r in payload["fit_reports"]),
         )
     raise ConfigError(f"{path}: unknown model kind {kind!r}")
 

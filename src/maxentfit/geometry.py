@@ -55,6 +55,16 @@ def as_point(x, d: int | None = None) -> np.ndarray:
     return p
 
 
+def as_points(x, d: int, name: str = "points") -> np.ndarray:
+    """Coerce ``x`` to an ``(m, d)`` float array; a vector is ``m`` 1-D points."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DimensionError(f"{name} must have shape (m, {d}), got {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class NodeSet:
     """Ordered basis nodes spanning the approximation domain.
@@ -210,18 +220,17 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
 
 def in_hull(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL) -> HullLocation:
     """Locate ``x`` relative to ``Conv(nodes)`` within absolute tolerance ``tol``."""
+    if nodes.box is None:
+        return hull_weights(nodes, x, tol)[0]
     x = as_point(x, nodes.d)
     if not tol > 0:
         raise ConfigError(f"hull tolerance must be positive, got {tol}")
-    if nodes.box is not None:
-        lo, hi = nodes.box
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
-            return HullLocation.OUTSIDE
-        if np.all(x > lo + tol) and np.all(x < hi - tol):
-            return HullLocation.INTERIOR
-        return HullLocation.BOUNDARY
-    location, _ = hull_weights(nodes, x, tol)
-    return location
+    lo, hi = nodes.box
+    if np.any(x < lo - tol) or np.any(x > hi + tol):
+        return HullLocation.OUTSIDE
+    if np.all(x > lo + tol) and np.all(x < hi - tol):
+        return HullLocation.INTERIOR
+    return HullLocation.BOUNDARY
 
 
 def grid_nodes(bounds, counts) -> NodeSet:
@@ -277,13 +286,7 @@ def augment_nodes(grid: NodeSet, data_points, k: int, seed: int = 0) -> NodeSet:
     candidates exist, the result is shorter and an AugmentationWarning is
     issued.
     """
-    pts = np.asarray(data_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != grid.d:
-        raise DimensionError(
-            f"data points must have shape (m, {grid.d}), got {pts.shape}"
-        )
+    pts = as_points(data_points, grid.d, "data points")
     if not np.all(np.isfinite(pts)):
         raise DimensionError("data points contain non-finite values")
     if k < 0 or k > len(pts):

@@ -25,6 +25,7 @@ from .geometry import (
     NodeSet,
     ShiftedNodes,
     as_point,
+    as_points,
     in_hull,
     shift,
 )
@@ -123,13 +124,8 @@ def entropy(weights) -> float:
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1:
         raise DimensionError(f"weights must be a vector, got shape {p.shape}")
-    if p.size and p.min() < -1e-14:
-        raise DomainError(f"weights must be nonnegative, min is {p.min()}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"weights must sum to 1, got {p.sum()}")
-    p = np.maximum(p, 0.0)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+    # Against the uniform prior m_i = 1 the relative entropy is sum p_i log p_i.
+    return -relative_entropy(p, np.ones_like(p))
 
 
 def relative_entropy(weights, prior) -> float:
@@ -272,16 +268,6 @@ def solve_basis(
     return _newton(shifted, prior, opts)
 
 
-def solve_basis_global(
-    nodes: NodeSet,
-    x,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-    hull_tol: float = DEFAULT_HULL_TOL,
-) -> BasisEval:
-    """Global (uniform-prior) basis weights; identical to ``solve_basis`` at ``beta = 0``."""
-    return solve_basis(nodes, x, 0.0, opts=opts, hull_tol=hull_tol)
-
-
 def basis_matrix(
     nodes: NodeSet,
     queries,
@@ -303,28 +289,31 @@ def basis_matrix(
     Raises
     ------
     OutsideHullError
-        If any query is outside the hull; ``index`` names the offender.
+        If any query is outside the hull, once every row has been checked:
+        ``indices`` names all outside rows, ``index`` the first.
     """
     pts = np.asarray(queries, dtype=float)
     if pts.size == 0:
         return np.zeros((0, nodes.n)), []
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != nodes.d:
-        raise DimensionError(
-            f"queries must have shape (m, {nodes.d}), got {pts.shape}"
-        )
+    pts = as_points(pts, nodes.d, "queries")
     rows = np.empty((pts.shape[0], nodes.n))
     evals: list[BasisEval] = []
+    outside: list[int] = []
     for i, q in enumerate(pts):
         try:
             ev = solve_basis(nodes, q, beta, opts=opts, hull_tol=hull_tol)
-        except OutsideHullError as err:
-            raise OutsideHullError(
-                f"query {i} at {q.tolist()} lies outside the convex hull of the nodes",
-                point=q,
-                index=i,
-            ) from err
+        except OutsideHullError:
+            outside.append(i)
+            continue
         rows[i] = ev.weights
         evals.append(ev)
+    if outside:
+        first = outside[0]
+        raise OutsideHullError(
+            f"queries {outside} lie outside the convex hull of the nodes "
+            f"(query {first} at {pts[first].tolist()})",
+            point=pts[first],
+            index=first,
+            indices=outside,
+        )
     return rows, evals

@@ -102,3 +102,40 @@ def random_interior_instance(rng, d_max=4, n_max=30, margin=0.05):
     w = rng.dirichlet(np.ones(n))
     x = (1.0 - margin) * (w @ nodes) + margin * nodes.mean(axis=0)
     return nodes, x
+
+
+def maxent_primal_weights(nodes, x):
+    """Global maximum-entropy weights from the primal problem, by SLSQP.
+
+    Maximizes ``-sum p_i log p_i`` subject to ``sum p = 1``,
+    ``nodes^T p = x`` and ``p >= 0`` directly over the ``n`` weights, so it
+    shares nothing with the production solver's d-dimensional dual.
+    """
+    from scipy.optimize import minimize
+
+    nodes = np.asarray(nodes, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = nodes.shape[0]
+
+    def neg_entropy(p):
+        q = np.maximum(p, 1e-300)
+        return float(np.sum(q * np.log(q)))
+
+    def neg_entropy_grad(p):
+        return np.log(np.maximum(p, 1e-300)) + 1.0
+
+    constraints = [
+        {"type": "eq", "fun": lambda p: np.sum(p) - 1.0, "jac": lambda p: np.ones((1, n))},
+        {"type": "eq", "fun": lambda p: nodes.T @ p - x, "jac": lambda p: nodes.T},
+    ]
+    res = minimize(
+        neg_entropy,
+        np.full(n, 1.0 / n),
+        jac=neg_entropy_grad,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * n,
+        constraints=constraints,
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert res.success, f"primal oracle failed: {res.message}"
+    return res.x

@@ -82,10 +82,11 @@ class TestFit:
 
     def test_outside_point_reports_index(self):
         nodes = grid_nodes([(0.0, 1.0)], [5])
-        data = Dataset(np.array([[0.5], [1.5]]), np.array([0.0, 0.0]))
+        data = Dataset(np.array([[0.5], [1.5], [0.2], [-0.5]]), np.zeros(4))
         with pytest.raises(OutsideHullError) as exc:
             fit(nodes, data, beta=0.0, alpha=0.0)
         assert exc.value.index == 1
+        assert exc.value.indices == (1, 3)
 
     def test_nonconverged_basis_raises_fit_error(self):
         nodes = grid_nodes([(0.0, 1.0)], [5])

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentfit import Dataset, NumericalBlowup, cli, fileio, predict
+from maxentfit import Dataset, NumericalBlowup, cli, fileio, geometry, predict
 from maxentfit.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_LEFT_HULL,
     EXIT_OK,
     EXIT_OUTSIDE_HULL,
+    EXIT_SOLVER,
     RunConfig,
     load_run_config,
     main,
@@ -83,13 +84,13 @@ class TestFitEval:
 
     def test_point_outside_bounds_exits_3_naming_row(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
-        write_scalar_csv(data, [0.2, 0.5, 1.5], [0.0, 0.0, 0.0])
+        write_scalar_csv(data, [0.2, 0.5, 1.5, -0.5], [0.0, 0.0, 0.0, 0.0])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"grid_bounds": [[0.0, 1.0]], "grid_counts": [5]}))
         code = main(["fit", "--data", str(data), "--config", str(config),
                      "--out", str(tmp_path / "m.json")])
         assert code == EXIT_OUTSIDE_HULL
-        assert "4" in capsys.readouterr().err  # CSV line number of the bad row
+        assert "rows 4, 5 " in capsys.readouterr().err  # CSV line numbers of both bad rows
 
     def test_eval_outside_hull_exits_3(self, tmp_path, sine_files):
         data, config = sine_files
@@ -99,6 +100,65 @@ class TestFitEval:
         pts.write_text("x1\n2.0\n")
         assert main(["eval", "--model", str(model_file), "--points", str(pts),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_OUTSIDE_HULL
+
+    def test_eval_uses_config_hull_tol_and_solver_keys(self, tmp_path, sine_files):
+        data, config = sine_files
+        model_file = tmp_path / "model.json"
+        main(["fit", "--data", str(data), "--config", str(config), "--out", str(model_file)])
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1\n0.5\n1.0000005\n")  # second row 5e-7 outside the nodes
+        eval_config = tmp_path / "eval.json"
+        eval_config.write_text(json.dumps({"hull_tol": 1e-6, "solver_tol": 1e-6}))
+        out = tmp_path / "o.csv"
+        assert main(["eval", "--model", str(model_file), "--points", str(pts),
+                     "--config", str(eval_config), "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_eval_nonconverged_exits_4_naming_rows(self, tmp_path, sine_files, capsys):
+        data, config = sine_files
+        model_file = tmp_path / "model.json"
+        main(["fit", "--data", str(data), "--config", str(config), "--out", str(model_file)])
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1\n0.23\n0.71\n")
+        eval_config = tmp_path / "eval.json"
+        eval_config.write_text(json.dumps({"solver_max_iter": 1}))
+        out = tmp_path / "o.csv"
+        assert main(["eval", "--model", str(model_file), "--points", str(pts),
+                     "--config", str(eval_config), "--out", str(out)]) == EXIT_SOLVER
+        assert "rows 2, 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_hull_check_per_row(self, tmp_path, monkeypatch):
+        # fit and eval on a general node set (the LP hull test) check each
+        # CSV row once, inside the basis solve
+        calls = []
+        original = geometry.in_hull
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("maxentfit") and getattr(module, "in_hull", None) is original:
+                monkeypatch.setattr(module, "in_hull", counting)
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 1.0, (12, 2))
+        data = tmp_path / "train.csv"
+        fileio.write_dataset_csv(data, Dataset(pts, pts[:, 0] - pts[:, 1]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nodes_from_data": True, "beta": 1.0}))
+        model_file = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(model_file)]) == EXIT_OK
+        assert len(calls) == len(pts)
+
+        calls.clear()
+        queries = 0.8 * pts[:5] + 0.2 * pts.mean(axis=0)
+        query_file = tmp_path / "pts.csv"
+        fileio.write_predictions_csv(query_file, queries, {})
+        assert main(["eval", "--model", str(model_file), "--points", str(query_file),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert len(calls) == len(queries)
 
     def test_unknown_config_key_rejected(self, tmp_path, sine_files):
         data, _ = sine_files

@@ -18,7 +18,6 @@ from maxentfit import (
     relative_entropy,
     shift,
     solve_basis,
-    solve_basis_global,
 )
 
 from .oracles import bisect_basis_1d, fd_gradient, fd_hessian, random_interior_instance
@@ -203,7 +202,7 @@ class TestSolveBasis:
             nodes, x = random_interior_instance(rng, d_max=3, n_max=15)
             ns = NodeSet(nodes)
             _, cert = hull_weights(ns, x)
-            ev = solve_basis_global(ns, x)
+            ev = solve_basis(ns, x, 0.0)
             cert = np.maximum(cert, 0.0)
             cert = cert / cert.sum()
             assert H(ev.weights) >= H(cert) - 1e-9
@@ -213,17 +212,6 @@ class TestSolveBasis:
         assert not ev.converged
         assert ev.iterations == 3
         assert np.isfinite(ev.residual)
-
-
-class TestGlobalEquivalence:
-    def test_beta_zero_matches_global(self):
-        rng = np.random.default_rng(55)
-        for _ in range(25):
-            nodes, x = random_interior_instance(rng)
-            ns = NodeSet(nodes)
-            local = solve_basis(ns, x, 0.0)
-            glob = solve_basis_global(ns, x)
-            assert np.abs(local.weights - glob.weights).max() <= 1e-10
 
 
 class TestBasisMatrix:
@@ -254,6 +242,7 @@ class TestBasisMatrix:
         with pytest.raises(OutsideHullError) as exc:
             basis_matrix(ns, np.array([[0.5], [2.0]]), 0.0)
         assert exc.value.index == 1
+        assert exc.value.indices == (1,)
 
     def test_order_independent(self):
         ns = grid_nodes([(0.0, 1.0)], [6])
