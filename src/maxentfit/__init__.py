@@ -6,7 +6,8 @@ anchored at user-chosen nodes (global, or localized through a Gaussian
 prior), fits l1-regularized linear approximants of unknown functions on
 those bases, and assembles component-wise vector-field surrogates that can
 be integrated forward in time. A dictionary-regression baseline and a set
-of deterministic benchmark experiments round out the toolkit.
+of deterministic benchmark experiments (``maxentfit.bench``) round out the
+toolkit.
 """
 
 from .errors import (
@@ -63,21 +64,6 @@ from .dynamics import (
     trajectory_rms,
 )
 from .baselines import Dictionary, DictionaryModel, dict_fit, dict_predict, dict_predict_batch
-from .bench import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    Report,
-    default_config,
-    gen_gauss2d,
-    gen_lorenz,
-    gen_orbit,
-    gen_rosenbrock,
-    gen_sine,
-    lorenz_rhs,
-    orbit_constants,
-    orbit_rhs,
-    run_experiment,
-)
 
 __version__ = "0.1.0"
 
@@ -130,17 +116,4 @@ __all__ = [
     "dict_fit",
     "dict_predict",
     "dict_predict_batch",
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "Report",
-    "default_config",
-    "gen_gauss2d",
-    "gen_lorenz",
-    "gen_orbit",
-    "gen_rosenbrock",
-    "gen_sine",
-    "lorenz_rhs",
-    "orbit_constants",
-    "orbit_rhs",
-    "run_experiment",
 ]

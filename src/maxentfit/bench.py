@@ -318,28 +318,25 @@ def _padded_bounds(states: np.ndarray, pad_fraction: float) -> list:
 
 
 def _dynamics_nodes(config: ExperimentConfig, states: np.ndarray) -> NodeSet:
-    """Grid over the (padded) trajectory bounding box, augmented with data points.
+    """Grid over ``bounds`` or the padded trajectory bounding box, augmented with data points.
 
-    Every training point must land inside the hull; if the first padding is
-    somehow insufficient the box is repadded once before giving up.
+    The padded box holds every training state by construction, so only
+    user-given ``bounds`` need a membership check.
     """
-    for attempt, pad in enumerate([config.pad_fraction, 2.0 * config.pad_fraction]):
-        bounds = config.bounds if config.bounds is not None else _padded_bounds(states, pad)
-        grid = grid_nodes(bounds, config.grid_counts)
-        nodes = augment_nodes(grid, states, config.augment_count, seed=config.seed)
-        outside = [
-            i
-            for i, p in enumerate(states)
-            if in_hull(nodes, p, config.hull_tol) is HullLocation.OUTSIDE
-        ]
-        if not outside:
-            return nodes
-        if config.bounds is not None or attempt == 1:
+    bounds = config.bounds
+    if bounds is None:
+        if config.pad_fraction < 0:
+            raise ConfigError(f"pad_fraction must be nonnegative, got {config.pad_fraction}")
+        bounds = _padded_bounds(states, config.pad_fraction)
+    grid = grid_nodes(bounds, config.grid_counts)
+    nodes = augment_nodes(grid, states, config.augment_count, seed=config.seed)
+    if config.bounds is not None:
+        outside = sum(in_hull(nodes, p, config.hull_tol) is HullLocation.OUTSIDE for p in states)
+        if outside:
             raise ConfigError(
-                f"{len(outside)} training points fall outside the node hull; "
-                "widen bounds or pad_fraction"
+                f"{outside} training points fall outside the node hull; widen bounds"
             )
-    raise AssertionError("unreachable")
+    return nodes
 
 
 def gen_lorenz(config: ExperimentConfig):

@@ -73,20 +73,13 @@ class RunConfig:
     pad_fraction: float = 0.1
     solver_tol: float = 1e-10
     solver_max_iter: int = 100
-    hessian_ridge: float = 1e-12
-    line_search_shrink: float = 0.5
     hull_tol: float = 1e-9
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            tol=self.solver_tol,
-            max_iter=self.solver_max_iter,
-            hessian_ridge=self.hessian_ridge,
-            line_search_shrink=self.line_search_shrink,
-        )
+        return SolverOptions(tol=self.solver_tol, max_iter=self.solver_max_iter)
 
 
 def load_run_config(path=None, env=None) -> RunConfig:

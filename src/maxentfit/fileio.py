@@ -164,20 +164,22 @@ def save_model(path, model) -> None:
         }
     else:
         raise ConfigError(f"cannot save object of type {type(model).__name__}")
-    nodes = model.nodes
     payload = {
         "format": MODEL_FORMAT,
         "beta": model.beta,
         "alpha": model.alpha,
-        "nodes": nodes.nodes.tolist(),
-        "box": None if nodes.box is None else nodes.box.tolist(),
+        "nodes": model.nodes.nodes.tolist(),
         **fitted,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_model(path):
-    """Read a model file back into an Approximant or SurrogateModel."""
+    """Read a model file back into an Approximant or SurrogateModel.
+
+    A ``"box"`` key, written by earlier versions, is ignored: the node set
+    derives its hull from the nodes.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -185,21 +187,26 @@ def load_model(path):
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} file")
-    nodes = NodeSet(np.asarray(payload["nodes"]), box=payload.get("box"))
-    shared = {"nodes": nodes, "beta": payload["beta"], "alpha": payload["alpha"]}
     kind = payload.get("kind")
-    if kind == "scalar":
-        return Approximant(
-            **shared,
-            coefficients=np.asarray(payload["coefficients"]),
-            fit_report=FitReport(**payload["fit_report"]),
-        )
-    if kind == "field":
-        return SurrogateModel(
-            **shared,
-            coeff_matrix=np.asarray(payload["coefficients"]),
-            fit_reports=tuple(FitReport(**r) for r in payload["fit_reports"]),
-        )
+    try:
+        nodes = NodeSet(np.asarray(payload["nodes"]))
+        shared = {"nodes": nodes, "beta": payload["beta"], "alpha": payload["alpha"]}
+        if kind == "scalar":
+            return Approximant(
+                **shared,
+                coefficients=np.asarray(payload["coefficients"]),
+                fit_report=FitReport(**payload["fit_report"]),
+            )
+        if kind == "field":
+            return SurrogateModel(
+                **shared,
+                coeff_matrix=np.asarray(payload["coefficients"]),
+                fit_reports=tuple(FitReport(**r) for r in payload["fit_reports"]),
+            )
+    except KeyError as err:
+        raise ConfigError(f"{path}: model file lacks key {err}") from None
+    except TypeError as err:
+        raise ConfigError(f"{path}: malformed model file: {err}") from None
     raise ConfigError(f"{path}: unknown model kind {kind!r}")
 
 
@@ -207,17 +214,13 @@ def load_model(path):
 # Experiment artifacts
 # ---------------------------------------------------------------------------
 
-def write_report_json(path, report) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def write_experiment_artifacts(out_dir, report, artifacts: dict) -> None:
     """Write the artifact bundle of one experiment run into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", report)
+    (out / "report.json").write_text(
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     write_dataset_csv(out / "train.csv", artifacts["train"])
     if "test" in artifacts:
         test = artifacts["test"]

@@ -2,19 +2,21 @@
 
 Basis nodes anchor every downstream computation: a query point is usable
 only if it lies inside the convex hull of the node set. Membership is
-resolved here, up front, by a small linear feasibility program instead of
-letting the dual basis solver diverge on an infeasible query.
+resolved here, up front, instead of letting the dual basis solver diverge
+on an infeasible query. The hull is derived from the nodes alone: when
+every corner of their bounding box is a node, the hull is that box and a
+bound check decides; otherwise a small linear feasibility program does.
+scipy is imported only when such a program runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 from .errors import AugmentationWarning, ConfigError, DimensionError
 
@@ -74,22 +76,14 @@ class NodeSet:
     nodes : (n, d) array_like
         Node coordinates, one row per node. At least ``d + 1`` nodes are
         required so the hull can have nonempty interior.
-    box : (2, d) array_like, optional
-        When the hull is known to be the axis-aligned box
-        ``[box[0], box[1]]`` (tensor grids, or grids augmented only with
-        in-box points), membership tests use a direct bound check instead
-        of the feasibility LP. Leave ``None`` for general node sets.
 
-    Attributes
-    ----------
-    degenerate : bool
-        True when the nodes do not affinely span R^d (hull has empty
-        interior). Membership is then resolved within the affine span.
+    Membership tests use a bound check instead of the feasibility LP when
+    the hull is the nodes' bounding box (see ``_hull_box``).
     """
 
     nodes: np.ndarray
-    box: np.ndarray | None = None
-    degenerate: bool = False
+    # (lo, hi) of the bounding box when it is the hull, else None.
+    _box: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -105,17 +99,7 @@ class NodeSet:
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        if self.box is not None:
-            box = np.asarray(self.box, dtype=float)
-            if box.shape != (2, d):
-                raise DimensionError(f"box must have shape (2, {d}), got {box.shape}")
-            if np.any(box[0] > box[1]):
-                raise DimensionError("box lower bounds exceed upper bounds")
-            box = box.copy()
-            box.setflags(write=False)
-            object.__setattr__(self, "box", box)
-        rank = np.linalg.matrix_rank(nodes - nodes.mean(axis=0))
-        object.__setattr__(self, "degenerate", bool(rank < d))
+        object.__setattr__(self, "_box", _hull_box(nodes))
 
     @property
     def n(self) -> int:
@@ -126,16 +110,36 @@ class NodeSet:
         return self.nodes.shape[1]
 
 
+def _hull_box(nodes: np.ndarray):
+    """``(lo, hi)`` of the bounding box if it equals the hull, else None.
+
+    The hull lies inside the box, and a box corner inside the hull is an
+    extreme point of it, hence a node; so the two are equal exactly when
+    every corner is a node (tensor grids, and grids augmented in-box). Corners are compared by
+    value as tuples, so ``-0.0`` matches ``0.0``. With fewer than ``2**d``
+    nodes the corners cannot all be present, so high ``d`` never enumerates
+    them. A box that is flat along some axis is left to the LP, which
+    resolves membership within the nodes' affine span.
+    """
+    n, d = nodes.shape
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    if n < 2**d or not np.all(lo < hi):
+        return None
+    present = set(map(tuple, nodes.tolist()))
+    if all(c in present for c in itertools.product(*zip(lo.tolist(), hi.tolist()))):
+        return lo, hi
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftedNodes:
     """Node coordinates relative to a query point.
 
-    Column ``i`` of ``tilde`` is ``nodes[i] - origin``; this shifted frame
-    is what keeps the exponentials in the basis solver well-scaled.
+    Column ``i`` of ``tilde`` is ``nodes[i] - x`` for the query point ``x``;
+    this shifted frame keeps the exponentials in the basis solver well-scaled.
     """
 
     tilde: np.ndarray
-    origin: np.ndarray
 
     @property
     def n(self) -> int:
@@ -150,7 +154,7 @@ def shift(nodes: NodeSet, x) -> ShiftedNodes:
     """Express ``nodes`` in the coordinate system with origin at ``x``."""
     x = as_point(x, nodes.d)
     tilde = np.ascontiguousarray((nodes.nodes - x).T)
-    return ShiftedNodes(tilde=tilde, origin=x)
+    return ShiftedNodes(tilde=tilde)
 
 
 def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
@@ -174,6 +178,8 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
         Convex weights with ``sum(w) = 1`` and reproduction error at most
         ``tol``; ``None`` when ``x`` is outside.
     """
+    from scipy.optimize import linprog
+
     x = as_point(x, nodes.d)
     if not tol > 0:
         raise ConfigError(f"hull tolerance must be positive, got {tol}")
@@ -220,12 +226,12 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
 
 def in_hull(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL) -> HullLocation:
     """Locate ``x`` relative to ``Conv(nodes)`` within absolute tolerance ``tol``."""
-    if nodes.box is None:
+    if nodes._box is None:
         return hull_weights(nodes, x, tol)[0]
     x = as_point(x, nodes.d)
     if not tol > 0:
         raise ConfigError(f"hull tolerance must be positive, got {tol}")
-    lo, hi = nodes.box
+    lo, hi = nodes._box
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         return HullLocation.OUTSIDE
     if np.all(x > lo + tol) and np.all(x < hi - tol):
@@ -246,8 +252,7 @@ def grid_nodes(bounds, counts) -> NodeSet:
     Returns
     -------
     NodeSet
-        ``prod(counts)`` nodes in row-major order (first axis slowest),
-        with the hull recorded as an axis-aligned box.
+        ``prod(counts)`` nodes in row-major order (first axis slowest).
     """
     bounds = list(bounds)
     counts = list(counts)
@@ -269,9 +274,7 @@ def grid_nodes(bounds, counts) -> NodeSet:
             )
         axes.append(np.linspace(lo, hi, cnt))
     mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    box = np.array([[float(lo) for lo, _ in bounds], [float(hi) for _, hi in bounds]])
-    return NodeSet(nodes, box=box)
+    return NodeSet(np.stack([m.ravel() for m in mesh], axis=-1))
 
 
 def augment_nodes(grid: NodeSet, data_points, k: int, seed: int = 0) -> NodeSet:
@@ -296,7 +299,9 @@ def augment_nodes(grid: NodeSet, data_points, k: int, seed: int = 0) -> NodeSet:
 
     order = np.random.default_rng(seed).permutation(len(pts))
     cand = pts[order]
-    min_dist = cdist(cand, grid.nodes).min(axis=1)
+    # Squared distances summed per axis: no (m, n, d) temporary.
+    sq = sum((cand[:, i, None] - grid.nodes[:, i]) ** 2 for i in range(grid.d))
+    min_dist = np.sqrt(sq.min(axis=1))
 
     chosen: list[np.ndarray] = []
     for _ in range(k):
@@ -317,8 +322,4 @@ def augment_nodes(grid: NodeSet, data_points, k: int, seed: int = 0) -> NodeSet:
     if not chosen:
         return grid
 
-    extra = np.vstack(chosen)
-    box = None
-    if grid.box is not None and np.all(extra >= grid.box[0]) and np.all(extra <= grid.box[1]):
-        box = grid.box
-    return NodeSet(np.vstack([grid.nodes, extra]), box=box)
+    return NodeSet(np.vstack([grid.nodes] + chosen))

@@ -37,6 +37,10 @@ _LAMBDA_CAP = 1e8
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_LINE_SEARCH_SHRINK = 0.5
+
+# Ridge on the dual Hessian, relative to its mean diagonal (at least 1).
+_HESSIAN_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,20 +53,12 @@ class SolverOptions:
 
     tol: float = 1e-10
     max_iter: int = 100
-    hessian_ridge: float = 1e-12
-    line_search_shrink: float = 0.5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise DomainError(
-                f"line_search_shrink must lie in (0, 1), got {self.line_search_shrink}"
-            )
-        if self.hessian_ridge < 0:
-            raise DomainError(f"hessian_ridge must be nonnegative, got {self.hessian_ridge}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -78,10 +74,6 @@ class Prior:
 
     beta: float
     log_values: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.exp(self.log_values)
 
     @property
     def n(self) -> int:
@@ -194,7 +186,7 @@ def _newton(shifted: ShiftedNodes, prior: Prior, opts: SolverOptions) -> BasisEv
     converged = bool(np.abs(grad).max() <= opts.tol)
 
     while not converged and iterations < opts.max_iter:
-        ridge = opts.hessian_ridge * max(1.0, np.trace(hess) / d)
+        ridge = _HESSIAN_RIDGE * max(1.0, np.trace(hess) / d)
         try:
             step = -np.linalg.solve(hess + ridge * eye, grad)
         except np.linalg.LinAlgError:
@@ -217,7 +209,7 @@ def _newton(shifted: ShiftedNodes, prior: Prior, opts: SolverOptions) -> BasisEv
                 lam, value, grad, hess, psi = cand, v_c, g_c, h_c, p_c
                 accepted = True
                 break
-            t *= opts.line_search_shrink
+            t *= _LINE_SEARCH_SHRINK
         iterations += 1
         if not accepted:
             break

@@ -10,10 +10,9 @@ from maxentfit import (
     dict_predict,
     dict_predict_batch,
     integrate,
-    lorenz_rhs,
     trajectory_rms,
 )
-from maxentfit.bench import _lorenz_rhs_batch
+from maxentfit.bench import _lorenz_rhs_batch, lorenz_rhs
 
 
 class TestDictionary:

@@ -9,10 +9,8 @@ from maxentfit import (
     HullLocation,
     in_hull,
     integrate,
-    lorenz_rhs,
-    orbit_constants,
-    orbit_rhs,
 )
+from maxentfit import bench
 from maxentfit.bench import (
     ExperimentConfig,
     apply_overrides,
@@ -22,6 +20,9 @@ from maxentfit.bench import (
     gen_orbit,
     gen_rosenbrock,
     gen_sine,
+    lorenz_rhs,
+    orbit_constants,
+    orbit_rhs,
     run_experiment,
     _gauss2d_fn,
     _rosenbrock_fn,
@@ -118,6 +119,21 @@ class TestGenLorenz:
         train, _, nodes = gen_lorenz(default_config("lorenz"))
         for p in train.points[::25]:
             assert in_hull(nodes, p) is not HullLocation.OUTSIDE
+
+    def test_default_nodes_need_no_hull_check(self, monkeypatch):
+        # The padded bounding box holds every training state by construction.
+        calls = []
+        monkeypatch.setattr(bench, "in_hull", lambda *args: calls.append(args))
+        gen_lorenz(default_config("lorenz"))
+        assert calls == []
+
+    def test_bounds_missing_the_orbit_rejected(self):
+        with pytest.raises(ConfigError, match="outside the node hull"):
+            run_experiment("lorenz", {"bounds": [[-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0]]})
+
+    def test_negative_pad_fraction_rejected(self):
+        with pytest.raises(ConfigError, match="pad_fraction"):
+            gen_lorenz(apply_overrides(default_config("lorenz"), {"pad_fraction": -0.1}))
 
     def test_derivatives_match_rhs(self):
         cfg = default_config("lorenz")

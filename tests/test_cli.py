@@ -167,6 +167,15 @@ class TestFitEval:
         assert main(["fit", "--data", str(data), "--config", str(config),
                      "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["hessian_ridge", "line_search_shrink"])
+    def test_removed_solver_keys_rejected(self, tmp_path, sine_files, capsys, key):
+        data, _ = sine_files
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({key: 0.5}))
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_nodes_from_data_interpolates(self, tmp_path):
         rng = np.random.default_rng(1)
         xs = np.sort(rng.uniform(0, 1, 15))
@@ -178,6 +187,60 @@ class TestFitEval:
         assert main(["fit", "--data", str(data), "--config", str(config),
                      "--out", str(model_file)]) == EXIT_OK
         assert fileio.load_model(model_file).fit_report.training_rms <= 1e-10
+
+
+def _edited_model(tmp_path, sine_files, edit):
+    """Fit the sine model, apply ``edit`` to its JSON payload, and save it again."""
+    data, config = sine_files
+    model_file = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--config", str(config),
+                 "--out", str(model_file)]) == EXIT_OK
+    payload = json.loads(model_file.read_text())
+    edit(payload)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    return model_file, edited
+
+
+def _eval(tmp_path, model_file, xs, out_name="o.csv"):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1\n" + "".join(f"{x!r}\n" for x in xs))
+    out = tmp_path / out_name
+    return main(["eval", "--model", str(model_file), "--points", str(pts), "--out", str(out)]), out
+
+
+class TestModelFiles:
+    def test_missing_key_is_config_error(self, tmp_path, sine_files, capsys):
+        _, edited = _edited_model(tmp_path, sine_files, lambda p: p.pop("beta"))
+        assert _eval(tmp_path, edited, [0.5])[0] == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "beta" in err and str(edited) in err
+
+    def test_extra_report_key_is_config_error(self, tmp_path, sine_files, capsys):
+        _, edited = _edited_model(
+            tmp_path, sine_files, lambda p: p["fit_report"].update(certificate=0.0)
+        )
+        assert _eval(tmp_path, edited, [0.5])[0] == EXIT_CONFIG
+        assert str(edited) in capsys.readouterr().err
+
+    def test_file_with_box_loads_and_evaluates_identically(self, tmp_path, sine_files):
+        # Earlier versions wrote the grid's box into the model file.
+        model_file, edited = _edited_model(
+            tmp_path, sine_files, lambda p: p.update(box=[[0.0], [1.0]])
+        )
+        xs = [0.0, 0.25, 0.5, 1.0]
+        code_a, out_a = _eval(tmp_path, model_file, xs, "a.csv")
+        code_b, out_b = _eval(tmp_path, edited, xs, "b.csv")
+        assert code_a == code_b == EXIT_OK
+        assert out_a.read_bytes() == out_b.read_bytes()
+        resaved = tmp_path / "resaved.json"
+        fileio.save_model(resaved, fileio.load_model(edited))
+        assert resaved.read_bytes() == model_file.read_bytes()
+
+    def test_edited_box_is_ignored(self, tmp_path, sine_files):
+        # The hull comes from the nodes (on [0, 1]), not from a stored box.
+        _, edited = _edited_model(tmp_path, sine_files, lambda p: p.update(box=[[0.0], [2.0]]))
+        assert _eval(tmp_path, edited, [1.5])[0] == EXIT_OUTSIDE_HULL
 
 
 class TestSimulate:

@@ -15,11 +15,9 @@ from maxentfit import (
     fit_dynamics,
     grid_nodes,
     integrate,
-    orbit_constants,
-    orbit_rhs,
     trajectory_rms,
 )
-from maxentfit.bench import default_config
+from maxentfit.bench import default_config, orbit_constants, orbit_rhs
 
 
 def linear_field_data(a_mat, b=None, n_side=7, lo=-1.0, hi=1.0):

@@ -1,6 +1,11 @@
+import itertools
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxentfit import (
@@ -10,6 +15,7 @@ from maxentfit import (
     HullLocation,
     NodeSet,
     augment_nodes,
+    geometry,
     grid_nodes,
     hull_weights,
     in_hull,
@@ -19,6 +25,20 @@ from maxentfit import (
 
 def nodes_1d(*xs):
     return NodeSet(np.asarray(xs, dtype=float)[:, None])
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Record every feasibility LP that ``in_hull`` runs."""
+    calls = []
+    original = geometry.hull_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "hull_weights", counting)
+    return calls
 
 
 TRIANGLE = NodeSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -72,10 +92,17 @@ class TestNodeSet:
         with pytest.raises(DimensionError):
             NodeSet(np.array([[0.0], [np.nan]]))
 
-    def test_degenerate_flag(self):
-        collinear = NodeSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-        assert collinear.degenerate
-        assert not TRIANGLE.degenerate
+    def test_flat_node_sets_use_the_lp(self, lp_calls):
+        # A node set without interior is resolved by the LP within its affine
+        # span, even when it holds every corner of its (flat) bounding box.
+        flat = NodeSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 0.0]]))
+        assert in_hull(flat, [1.5, 0.0]) is HullLocation.INTERIOR
+        assert in_hull(flat, [1.5, 1e-6]) is HullLocation.OUTSIDE
+        assert len(lp_calls) == 2
+        lp_calls.clear()
+        square = NodeSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        assert in_hull(square, [0.5, 0.5]) is HullLocation.INTERIOR
+        assert lp_calls == []
 
 
 class TestInHull:
@@ -114,8 +141,6 @@ class TestInHull:
 
     def test_box_fast_path_matches_lp(self):
         grid = grid_nodes([(0.0, 1.0), (0.0, 2.0)], [4, 4])
-        general = NodeSet(grid.nodes)  # same hull, no box metadata
-        assert general.box is None
         rng = np.random.default_rng(3)
         queries = [
             rng.uniform(0.05, 0.95, 2) * [1.0, 2.0] for _ in range(10)
@@ -128,7 +153,51 @@ class TestInHull:
             [0.5, 2.4],
         ]
         for q in queries:
-            assert in_hull(grid, q) is in_hull(general, q), q
+            with mock.patch.object(geometry, "hull_weights", side_effect=AssertionError):
+                location = in_hull(grid, q)
+            assert location is hull_weights(NodeSet(grid.nodes), q)[0], q
+
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.sampled_from([1e-6, 1e-4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_check_agrees_with_lp_on_outside(self, data, d, tol):
+        # Node sets holding their bounding-box corners take the bound check;
+        # it must agree with the LP on OUTSIDE versus not. Queries sit at
+        # least 2 tol or at most 0.5 tol from every face plane: the LP's
+        # slack is tol (1 - 1e-6), so the band in between may differ. The
+        # LP also accepts weights down to -1e-9, which reaches about
+        # 1e-9 * extent past the hull; tol is drawn well above that.
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        lo = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+        width = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+        hi = lo + width
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        k = data.draw(st.integers(0, 6))
+        frac = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=k, max_size=k
+        ))).reshape(k, d)
+        pts = np.vstack([corners, lo + frac * width])
+        order = data.draw(st.permutations(range(len(pts))))
+        nodes = NodeSet(pts[list(order)])
+
+        q = lo + np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))) * width
+        for i in range(d):
+            face = data.draw(st.sampled_from(["none", "lo", "hi"]))
+            if face != "none":
+                offset = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
+                    st.one_of(st.floats(0.0, 0.5), st.floats(2.0, 1e3))
+                ) * tol
+                q[i] = (lo[i] if face == "lo" else hi[i]) + offset
+        gaps = np.minimum(np.abs(q - lo), np.abs(q - hi))
+        assume(np.all((gaps <= 0.5 * tol) | (gaps >= 2.0 * tol)))
+
+        with mock.patch.object(geometry, "hull_weights", side_effect=AssertionError):
+            box_outside = in_hull(nodes, q, tol) is HullLocation.OUTSIDE
+        lp_outside = hull_weights(nodes, q, tol)[0] is HullLocation.OUTSIDE
+        assert box_outside == lp_outside, (nodes.nodes, q)
 
 
 class TestGridNodes:
@@ -172,13 +241,16 @@ class TestAugmentNodes:
         g = grid_nodes([(0.0, 1.0)], [4])
         assert augment_nodes(g, np.array([[0.3], [0.7]]), 0) is g
 
-    def test_counts_match_lorenz_style(self):
+    def test_counts_match_lorenz_style(self, lp_calls):
         g = grid_nodes([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], [5, 5, 5])
         rng = np.random.default_rng(0)
         data = rng.uniform(0.05, 0.95, (500, 3))
         out = augment_nodes(g, data, 100, seed=0)
         assert out.n == 125 + 100
-        assert out.box is not None  # additions inside the box keep the fast path
+        # additions inside the box keep the bound check: no LP runs
+        for q in data[:20]:
+            assert in_hull(out, q) is HullLocation.INTERIOR
+        assert lp_calls == []
 
     def test_duplicate_skipped_with_warning(self):
         g = grid_nodes([(0.0, 1.0)], [2])
@@ -206,8 +278,28 @@ class TestAugmentNodes:
         with pytest.raises(ConfigError):
             augment_nodes(g, np.array([[0.5]]), 2)
 
-    def test_outside_point_drops_box(self):
+    def test_outside_point_drops_box(self, lp_calls):
+        # In 1-D the hull is always the bounding interval, so it grows with
+        # the new node and the bound check still decides.
         g = grid_nodes([(0.0, 1.0)], [2])
         out = augment_nodes(g, np.array([[1.5]]), 1)
-        assert out.box is None
         assert in_hull(out, [1.2]) is HullLocation.INTERIOR
+        assert in_hull(out, [1.6]) is HullLocation.OUTSIDE
+        assert lp_calls == []
+        # In 2-D a node past the box leaves two new box corners uncovered.
+        g = grid_nodes([(0.0, 1.0), (0.0, 1.0)], [3, 3])
+        out = augment_nodes(g, np.array([[1.5, 0.5]]), 1)
+        assert in_hull(out, [1.2, 0.5]) is HullLocation.INTERIOR
+        assert in_hull(out, [1.2, 0.9]) is HullLocation.OUTSIDE
+        assert len(lp_calls) == 2
+
+
+def test_import_loads_no_scipy():
+    # Box node sets never need scipy; only the LP hull test imports it.
+    code = (
+        "import sys, maxentfit, maxentfit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -259,8 +259,6 @@ class TestSolverOptions:
             SolverOptions(tol=0.0)
         with pytest.raises(DomainError):
             SolverOptions(max_iter=0)
-        with pytest.raises(DomainError):
-            SolverOptions(line_search_shrink=1.0)
 
     def test_prior_rejects_negative_beta(self):
         s = shift(nodes_1d(0.0, 1.0), [0.5])
