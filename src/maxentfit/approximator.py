@@ -202,12 +202,13 @@ def solve_coefficients(psi_mat, y, alpha):
     return a, iterations
 
 
-def check_converged(evals) -> None:
-    """Raise FitError naming every basis solve in ``evals`` that did not converge."""
+def check_converged(evals, points) -> None:
+    """Raise FitError naming each row of ``points`` whose basis solve in ``evals`` failed."""
     failed = [i for i, ev in enumerate(evals) if not ev.converged]
     if failed:
         raise FitError(
-            f"basis solve failed to converge at data points {failed}",
+            f"basis solve failed to converge at rows {failed} "
+            f"(first at {np.asarray(points, dtype=float)[failed[0]].tolist()})",
             failed_indices=failed,
         )
 
@@ -226,7 +227,7 @@ def _fit_columns(nodes, data, beta, alpha, opts, hull_tol):
     if data.d != nodes.d:
         raise DimensionError(f"data dimension {data.d} does not match nodes dimension {nodes.d}")
     psi_mat, evals = basis_matrix(nodes, data.points, beta, opts=opts, hull_tol=hull_tol)
-    check_converged(evals)
+    check_converged(evals, data.points)
     coeff = np.empty((nodes.n, data.n_components))
     reports = []
     for j in range(data.n_components):
@@ -282,37 +283,14 @@ def fit(
 
 
 def predict(model: Approximant, x, opts: SolverOptions = DEFAULT_OPTIONS) -> float:
-    """Evaluate the approximant at a single point inside the hull."""
+    """Evaluate the approximant at a single point inside the hull (FitError if unconverged)."""
     ev = solve_basis(model.nodes, x, model.beta, opts=opts)
+    check_converged([ev], [x])
     return float(model.coefficients @ ev.weights)
 
 
 def predict_batch(model: Approximant, points, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """Evaluate the approximant at many points; returns a vector."""
-    psi_mat, _ = basis_matrix(model.nodes, points, model.beta, opts=opts)
+    """Evaluate the approximant at many points; FitError names the unconverged rows."""
+    psi_mat, evals = basis_matrix(model.nodes, points, model.beta, opts=opts)
+    check_converged(evals, points)
     return psi_mat @ model.coefficients
-
-
-def rms_error(model: Approximant, data: Dataset, opts: SolverOptions = DEFAULT_OPTIONS) -> float:
-    """Root-mean-square prediction error of ``model`` over ``data``."""
-    if data.n < 1:
-        raise DomainError("dataset is empty")
-    if data.n_components != 1:
-        raise DimensionError("rms_error expects scalar observations")
-    pred = predict_batch(model, data.points, opts=opts)
-    return float(np.sqrt(np.mean((data.component(0) - pred) ** 2)))
-
-
-def active_nodes(model: Approximant, threshold: float) -> list[int]:
-    """Indices of nodes whose coefficient magnitude exceeds ``threshold * max|a|``.
-
-    Supports the sparsification workflow: fit with ``alpha > 0``, keep the
-    active nodes, refit on the reduced set.
-    """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
-    a = np.abs(model.coefficients)
-    amax = a.max(initial=0.0)
-    if amax == 0.0:
-        return []
-    return [int(i) for i in np.nonzero(a > threshold * amax)[0]]

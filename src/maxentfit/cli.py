@@ -54,6 +54,38 @@ EXIT_LEFT_HULL = 5
 EXIT_BLOWUP = 6
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _list_of(check):
+    return lambda v: v is None or (isinstance(v, list) and all(map(check, v)))
+
+
+# The JSON values each RunConfig key accepts, and how errors name them. The
+# config file and the environment both reach them through dataclasses.replace.
+_KEY_TYPES = {
+    "seed": (_is_int, "an integer"),
+    "beta": (_is_real, "a number"),
+    "alpha": (_is_real, "a number"),
+    "grid_bounds": (
+        _list_of(lambda b: isinstance(b, list) and len(b) == 2 and all(map(_is_real, b))),
+        "null or a list of [low, high] number pairs",
+    ),
+    "grid_counts": (_list_of(_is_int), "null or a list of integers"),
+    "nodes_from_data": (lambda v: isinstance(v, bool), "true or false"),
+    "augment_count": (_is_int, "an integer"),
+    "pad_fraction": (_is_real, "a number"),
+    "solver_tol": (_is_real, "a number"),
+    "solver_max_iter": (_is_int, "an integer"),
+    "hull_tol": (_is_real, "a number"),
+}
+
+
 @dataclass
 class RunConfig:
     """Configuration for fit/eval/simulate; all defaults are explicit here.
@@ -74,6 +106,12 @@ class RunConfig:
     solver_tol: float = 1e-10
     solver_max_iter: int = 100
     hull_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name, (check, expected) in _KEY_TYPES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ConfigError(f"config key {name!r} must be {expected}, got {value!r}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -192,7 +230,7 @@ def cmd_eval(args) -> int:
             model.nodes, points, model.beta,
             opts=config.solver_options(), hull_tol=config.hull_tol,
         )
-        check_converged(evals)
+        check_converged(evals, points)
     if isinstance(model, Approximant):
         columns = {"f_pred": psi_mat @ model.coefficients}
     else:

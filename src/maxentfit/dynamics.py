@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericalBlowup, OutsideHullError
 from .geometry import DEFAULT_HULL_TOL, NodeSet, as_point
 from .maxent import DEFAULT_OPTIONS, SolverOptions, solve_basis
-from .approximator import Dataset, FitReport, _fit_columns
+from .approximator import Dataset, FitReport, _fit_columns, check_converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +107,9 @@ def fit_dynamics(
 
 
 def eval_field(model: SurrogateModel, x, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """Surrogate field at one point: one basis solve, d inner products."""
+    """Surrogate field at one point: one basis solve, d inner products; FitError if unconverged."""
     ev = solve_basis(model.nodes, x, model.beta, opts=opts)
+    check_converged([ev], [x])
     return model.coeff_matrix.T @ ev.weights
 
 
@@ -155,6 +156,8 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
     ------
     NumericalBlowup
         A state became non-finite; carries the valid trajectory prefix.
+    FitError
+        A basis solve of a surrogate field did not converge.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not dt > 0:

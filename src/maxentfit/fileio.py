@@ -188,26 +188,34 @@ def load_model(path):
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} file")
     kind = payload.get("kind")
+    if kind not in ("scalar", "field"):
+        raise ConfigError(f"{path}: unknown model kind {kind!r}")
     try:
-        nodes = NodeSet(np.asarray(payload["nodes"]))
-        shared = {"nodes": nodes, "beta": payload["beta"], "alpha": payload["alpha"]}
+        beta, alpha = payload["beta"], payload["alpha"]
+        if not all(type(v) in (int, float) and 0 <= v < np.inf for v in (beta, alpha)):
+            raise ConfigError(f"beta {beta!r} and alpha {alpha!r} must be finite numbers >= 0")
+        nodes, coeff = np.asarray(payload["nodes"]), np.asarray(payload["coefficients"])
+        if nodes.dtype.kind not in "iuf" or coeff.dtype.kind not in "iuf":
+            raise ConfigError("nodes and coefficients must be numeric arrays")
+        nodes = NodeSet(nodes)
+        if coeff.shape != ((nodes.n,) if kind == "scalar" else (nodes.n, nodes.d)):
+            raise ConfigError(f"coefficients {coeff.shape} do not fit nodes {nodes.nodes.shape}")
+        shared = {"nodes": nodes, "beta": float(beta), "alpha": float(alpha)}
         if kind == "scalar":
             return Approximant(
                 **shared,
-                coefficients=np.asarray(payload["coefficients"]),
+                coefficients=coeff,
                 fit_report=FitReport(**payload["fit_report"]),
             )
-        if kind == "field":
-            return SurrogateModel(
-                **shared,
-                coeff_matrix=np.asarray(payload["coefficients"]),
-                fit_reports=tuple(FitReport(**r) for r in payload["fit_reports"]),
-            )
+        return SurrogateModel(
+            **shared,
+            coeff_matrix=coeff,
+            fit_reports=tuple(FitReport(**r) for r in payload["fit_reports"]),
+        )
     except KeyError as err:
         raise ConfigError(f"{path}: model file lacks key {err}") from None
-    except TypeError as err:
+    except (TypeError, ValueError) as err:  # ConfigError, DimensionError, ragged arrays
         raise ConfigError(f"{path}: malformed model file: {err}") from None
-    raise ConfigError(f"{path}: unknown model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

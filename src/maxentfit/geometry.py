@@ -1,4 +1,4 @@
-"""Node sets, shifted coordinates, and convex-hull membership tests.
+"""Node sets, point coercion, and convex-hull membership tests.
 
 Basis nodes anchor every downstream computation: a query point is usable
 only if it lies inside the convex hull of the node set. Membership is
@@ -129,32 +129,6 @@ def _hull_box(nodes: np.ndarray):
     if all(c in present for c in itertools.product(*zip(lo.tolist(), hi.tolist()))):
         return lo, hi
     return None
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftedNodes:
-    """Node coordinates relative to a query point.
-
-    Column ``i`` of ``tilde`` is ``nodes[i] - x`` for the query point ``x``;
-    this shifted frame keeps the exponentials in the basis solver well-scaled.
-    """
-
-    tilde: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.tilde.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.tilde.shape[0]
-
-
-def shift(nodes: NodeSet, x) -> ShiftedNodes:
-    """Express ``nodes`` in the coordinate system with origin at ``x``."""
-    x = as_point(x, nodes.d)
-    tilde = np.ascontiguousarray((nodes.nodes - x).T)
-    return ShiftedNodes(tilde=tilde)
 
 
 def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):

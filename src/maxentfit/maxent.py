@@ -18,17 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, OutsideHullError
-from .geometry import (
-    DEFAULT_HULL_TOL,
-    HullLocation,
-    NodeSet,
-    ShiftedNodes,
-    as_point,
-    as_points,
-    in_hull,
-    shift,
-)
+from .errors import DomainError, OutsideHullError
+from .geometry import DEFAULT_HULL_TOL, HullLocation, NodeSet, as_point, as_points, in_hull
 
 # Multiplier magnitude beyond which a query is treated as effectively on the
 # hull boundary with no finite solution; the solver stops and reports
@@ -65,30 +56,6 @@ DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True, eq=False)
-class Prior:
-    """Gaussian per-node prior ``m_i = exp(-beta * ||x_i - x||^2)``.
-
-    Stored in log form: for large ``beta`` the raw values underflow long
-    before the log does, and the dual solver only ever needs the logs.
-    """
-
-    beta: float
-    log_values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.log_values.shape[0]
-
-
-def gaussian_prior(shifted: ShiftedNodes, beta: float) -> Prior:
-    """Gaussian prior of decay rate ``beta`` centered at the shift origin."""
-    if beta < 0:
-        raise DomainError(f"beta must be nonnegative, got {beta}")
-    sq = np.sum(shifted.tilde**2, axis=0)
-    return Prior(beta=float(beta), log_values=-float(beta) * sq)
-
-
-@dataclass(frozen=True, eq=False)
 class BasisEval:
     """Basis weights at one query point, with solver diagnostics.
 
@@ -111,38 +78,17 @@ class BasisEval:
     converged: bool
 
 
-def entropy(weights) -> float:
-    """Shannon entropy ``-sum p_i log p_i`` with the convention ``0 log 0 = 0``."""
-    p = np.asarray(weights, dtype=float)
-    if p.ndim != 1:
-        raise DimensionError(f"weights must be a vector, got shape {p.shape}")
-    # Against the uniform prior m_i = 1 the relative entropy is sum p_i log p_i.
-    return -relative_entropy(p, np.ones_like(p))
+def _dual_eval(lam: np.ndarray, tilde: np.ndarray, log_prior: np.ndarray):
+    """Dual value ``log Z``, gradient, Hessian, and weights at multipliers ``lam``.
 
-
-def relative_entropy(weights, prior) -> float:
-    """Relative entropy ``sum psi_i log(psi_i / m_i)`` against a positive prior."""
-    p = np.asarray(weights, dtype=float)
-    m = np.asarray(prior, dtype=float)
-    if p.shape != m.shape or p.ndim != 1:
-        raise DimensionError(
-            f"weights and prior must be vectors of equal length, got {p.shape} and {m.shape}"
-        )
-    if np.any(m <= 0):
-        raise DomainError("prior entries must be strictly positive")
-    if p.size and p.min() < -1e-14:
-        raise DomainError(f"weights must be nonnegative, min is {p.min()}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"weights must sum to 1, got {p.sum()}")
-    p = np.maximum(p, 0.0)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(m[mask]))))
-
-
-def _dual_eval(lam: np.ndarray, shifted: ShiftedNodes, prior: Prior):
-    """Dual value, gradient, Hessian, and weights at multipliers ``lam``."""
-    tilde = shifted.tilde
-    exponents = prior.log_values - lam @ tilde
+    ``Z = sum_j m_j exp(-lam . xt_j)`` over the shifted nodes ``xt_j`` (the
+    columns of ``tilde``) with ``log_prior = log m``. The gradient is
+    ``-sum_i psi_i xt_i``, so a zero gradient is exactly the reproduction
+    constraint, and the Hessian is the weight covariance of the shifted
+    nodes (positive semidefinite: the dual is convex). Exponents are shifted
+    by their maximum, so large ``beta`` or ``lam`` cannot overflow.
+    """
+    exponents = log_prior - lam @ tilde
     emax = exponents.max()
     z = np.exp(exponents - emax)
     zsum = z.sum()
@@ -154,33 +100,10 @@ def _dual_eval(lam: np.ndarray, shifted: ShiftedNodes, prior: Prior):
     return value, grad, hess, psi
 
 
-def dual_objective(lam, shifted: ShiftedNodes, prior: Prior):
-    """Dual function ``log Z`` with its gradient and Hessian.
-
-    ``Z = sum_j m_j exp(-lam . xt_j)`` over the shifted nodes ``xt_j``; the
-    gradient is ``-sum_i psi_i xt_i`` so a zero gradient is exactly the
-    reproduction constraint, and the Hessian is the weight covariance of the
-    shifted nodes (positive semidefinite: the dual is convex). Evaluation
-    shifts exponents by their maximum, so large ``beta`` or ``lam`` cannot
-    overflow.
-
-    Returns
-    -------
-    (value, gradient, hessian)
-    """
-    lam = as_point(lam, shifted.d)
-    if prior.n != shifted.n:
-        raise DimensionError(
-            f"prior has {prior.n} entries for {shifted.n} shifted nodes"
-        )
-    value, grad, hess, _ = _dual_eval(lam, shifted, prior)
-    return value, grad, hess
-
-
-def _newton(shifted: ShiftedNodes, prior: Prior, opts: SolverOptions) -> BasisEval:
-    d = shifted.d
+def _newton(tilde: np.ndarray, log_prior: np.ndarray, opts: SolverOptions) -> BasisEval:
+    d = tilde.shape[0]
     lam = np.zeros(d)
-    value, grad, hess, psi = _dual_eval(lam, shifted, prior)
+    value, grad, hess, psi = _dual_eval(lam, tilde, log_prior)
     iterations = 0
     eye = np.eye(d)
     converged = bool(np.abs(grad).max() <= opts.tol)
@@ -204,7 +127,7 @@ def _newton(shifted: ShiftedNodes, prior: Prior, opts: SolverOptions) -> BasisEv
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = lam + t * step
-            v_c, g_c, h_c, p_c = _dual_eval(cand, shifted, prior)
+            v_c, g_c, h_c, p_c = _dual_eval(cand, tilde, log_prior)
             if v_c <= value + _ARMIJO_C * t * slope + slack:
                 lam, value, grad, hess, psi = cand, v_c, g_c, h_c, p_c
                 accepted = True
@@ -249,15 +172,20 @@ def solve_basis(
         constraint residual below ``opts.tol``.
     """
     x = as_point(x, nodes.d)
+    if beta < 0:
+        raise DomainError(f"beta must be nonnegative, got {beta}")
     location = in_hull(nodes, x, hull_tol)
     if location is HullLocation.OUTSIDE:
         raise OutsideHullError(
             f"query point {x.tolist()} lies outside the convex hull of the nodes",
             point=x,
         )
-    shifted = shift(nodes, x)
-    prior = gaussian_prior(shifted, beta)
-    return _newton(shifted, prior, opts)
+    # Column i is nodes[i] - x: the shifted frame keeps the exponentials well
+    # scaled. The Gaussian prior exp(-beta |x_i - x|^2) stays in log form,
+    # because for large beta its values underflow long before their logs do.
+    tilde = np.ascontiguousarray((nodes.nodes - x).T)
+    log_prior = -float(beta) * np.sum(tilde**2, axis=0)
+    return _newton(tilde, log_prior, opts)
 
 
 def basis_matrix(

@@ -1,13 +1,27 @@
 """Independent oracles used to cross-check the production solvers.
 
 Everything here deliberately avoids the code paths under test: the 1-D
-basis weights come from bisection on the scalar dual gradient, and the
-dual derivatives come from central finite differences of the dual value.
+basis weights come from bisection on the scalar dual gradient, the dual
+derivatives from central finite differences of the dual value, and the
+large-beta limit from Qhull's Delaunay triangulation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def entropy(weights) -> float:
+    """Shannon entropy ``-sum p_i log p_i`` with the convention ``0 log 0 = 0``."""
+    p = np.asarray(weights, dtype=float)
+    p = p[p > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
+def dual_inputs(nodes, x, beta):
+    """Shifted nodes ``tilde`` (column i is ``nodes[i] - x``) and the log Gaussian prior."""
+    tilde = (np.asarray(nodes, dtype=float) - np.asarray(x, dtype=float)).T
+    return tilde, -beta * np.sum(tilde**2, axis=0)
 
 
 def dual_value(lam, tilde, log_prior):
@@ -139,3 +153,26 @@ def maxent_primal_weights(nodes, x):
     )
     assert res.success, f"primal oracle failed: {res.message}"
     return res.x
+
+
+def delaunay_weights(nodes, x):
+    """Barycentric weights of each row of ``x`` in its Delaunay simplex, as ``(m, n)`` rows.
+
+    As beta grows, local max-ent weights tend to these (Arroyo & Ortiz 2006),
+    provided the Delaunay triangulation of the nodes is unique.
+    """
+    from scipy.spatial import Delaunay
+
+    nodes = np.asarray(nodes, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = nodes.shape[1]
+    tri = Delaunay(nodes)
+    simplex = tri.find_simplex(x)
+    assert np.all(simplex >= 0), "query outside the triangulation"
+    transform = tri.transform[simplex]
+    bary = np.einsum("mij,mj->mi", transform[:, :d], x - transform[:, d])
+    weights = np.zeros((x.shape[0], nodes.shape[0]))
+    np.put_along_axis(
+        weights, tri.simplices[simplex], np.column_stack([bary, 1.0 - bary.sum(axis=1)]), axis=1
+    )
+    return weights

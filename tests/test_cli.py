@@ -176,6 +176,30 @@ class TestFitEval:
                      "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta", "100"), ("hull_tol", "1e-9"), ("solver_max_iter", 2.5), ("grid_counts", "5")],
+    )
+    def test_mistyped_config_value_exits_2_naming_key(self, tmp_path, sine_files, capsys,
+                                                      key, value):
+        data, config = sine_files
+        payload = json.loads(config.read_text())
+        payload[key] = value
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_env_value_exits_2_naming_key(self, tmp_path, sine_files, capsys,
+                                                   monkeypatch):
+        data, config = sine_files
+        monkeypatch.setenv("MAXENTFIT_BETA", '"abc"')
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        assert "'beta'" in capsys.readouterr().err
+
     def test_nodes_from_data_interpolates(self, tmp_path):
         rng = np.random.default_rng(1)
         xs = np.sort(rng.uniform(0, 1, 15))
@@ -220,6 +244,20 @@ class TestModelFiles:
         _, edited = _edited_model(
             tmp_path, sine_files, lambda p: p["fit_report"].update(certificate=0.0)
         )
+        assert _eval(tmp_path, edited, [0.5])[0] == EXIT_CONFIG
+        assert str(edited) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(beta="100"),
+            lambda p: p.update(nodes=[[str(v) for v in row] for row in p["nodes"]]),
+            lambda p: p.update(coefficients=p["coefficients"][:-1]),
+        ],
+        ids=["string-beta", "string-nodes", "short-coefficients"],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, sine_files, capsys, edit):
+        _, edited = _edited_model(tmp_path, sine_files, edit)
         assert _eval(tmp_path, edited, [0.5])[0] == EXIT_CONFIG
         assert str(edited) in capsys.readouterr().err
 
@@ -292,6 +330,22 @@ class TestSimulate:
         code = main(["simulate", "--model", str(decay_model), "--x0", "1.0",
                      "--t1", "1.0", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_BLOWUP
+
+    def test_nonconverged_stage_exits_4(self, tmp_path):
+        # 5e-10 past the edge of a 4x4 box grid: inside the hull tolerance,
+        # but the basis solve runs out of iterations at beta = 10.
+        pts = np.random.default_rng(0).uniform(0, 1, (40, 2))
+        data = tmp_path / "field.csv"
+        write_field_csv(data, pts, np.zeros_like(pts))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"beta": 10.0, "grid_bounds": [[0.0, 1.0]] * 2,
+                                      "grid_counts": [4, 4]}))
+        model_file = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(model_file)]) == EXIT_OK
+        code = main(["simulate", "--model", str(model_file), "--x0", "1.0000000005,0.5",
+                     "--t1", "1.0", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_SOLVER
 
     def test_bad_dt_exits_2(self, tmp_path, decay_model):
         assert main(["simulate", "--model", str(decay_model), "--x0", "1.0",

@@ -5,6 +5,7 @@ from maxentfit import (
     Dataset,
     DimensionError,
     DomainError,
+    FitError,
     NodeSet,
     NumericalBlowup,
     SurrogateModel,
@@ -27,6 +28,13 @@ def linear_field_data(a_mat, b=None, n_side=7, lo=-1.0, hi=1.0):
     if b is not None:
         vals = vals + b
     return Dataset(pts, vals)
+
+
+def zero_field_model():
+    """Zero field on a 4x4 box grid over the unit square at beta = 10."""
+    pts = grid_nodes([(0.0, 1.0), (0.0, 1.0)], [6, 6]).nodes
+    nodes = grid_nodes([(0.0, 1.0), (0.0, 1.0)], [4, 4])
+    return fit_dynamics(nodes, Dataset(pts, np.zeros_like(pts)), beta=10.0, alpha=0.0)
 
 
 class TestFitDynamics:
@@ -96,6 +104,13 @@ class TestEvalField:
             expected = a_mat @ x + b
             assert np.abs(eval_field(model, x) - expected).max() <= 1e-7
 
+    def test_nonconverged_point_raises_fit_error(self):
+        # 5e-10 past the box edge: inside the hull tolerance, but the basis
+        # solve runs out of iterations at beta = 10.
+        model = zero_field_model()
+        with pytest.raises(FitError, match=r"1\.0000000005"):
+            eval_field(model, [1 + 5e-10, 0.5])
+
 
 class TestIntegrate:
     def test_exponential_decay(self):
@@ -143,6 +158,10 @@ class TestIntegrate:
         assert traj.times[-1] == traj.domain_exit.time
         assert traj.states[-1, 0] <= 1.0 + 1e-6
         assert traj.n_samples < 101
+
+    def test_nonconverged_stage_raises_fit_error(self):
+        with pytest.raises(FitError):
+            integrate(zero_field_model(), [1 + 5e-10, 0.5], (0.0, 1.0), 0.1)
 
     def test_numerical_blowup_carries_prefix(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,26 +1,32 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentfit import (
-    DimensionError,
     DomainError,
     NodeSet,
     OutsideHullError,
     SolverOptions,
     basis_matrix,
-    dual_objective,
-    entropy,
-    gaussian_prior,
     grid_nodes,
     hull_weights,
-    relative_entropy,
-    shift,
     solve_basis,
 )
+from maxentfit.maxent import _dual_eval
 
-from .oracles import bisect_basis_1d, fd_gradient, fd_hessian, random_interior_instance
+from .oracles import (
+    bisect_basis_1d,
+    delaunay_weights,
+    dual_inputs,
+    entropy,
+    fd_gradient,
+    fd_hessian,
+    random_interior_instance,
+)
 
 
 def nodes_1d(*xs):
@@ -28,6 +34,8 @@ def nodes_1d(*xs):
 
 
 class TestEntropy:
+    """The test oracle ``entropy``, which the maximality property relies on."""
+
     def test_degenerate_distribution(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0
 
@@ -36,14 +44,6 @@ class TestEntropy:
 
     def test_uniform_three(self):
         assert entropy([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(np.log(3), abs=1e-15)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
-            entropy([1.1, -0.1])
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(DomainError):
-            entropy([0.5, 0.6])
 
     @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=10))
     @settings(max_examples=50, deadline=None)
@@ -54,45 +54,22 @@ class TestEntropy:
         assert -1e-12 <= h <= np.log(len(p)) + 1e-12
 
 
-class TestRelativeEntropy:
-    def test_uniform_prior_half_half(self):
-        assert relative_entropy([0.5, 0.5], [1.0, 1.0]) == pytest.approx(-np.log(2), abs=1e-15)
-
-    def test_point_mass_uniform_prior(self):
-        assert relative_entropy([1.0, 0.0], [1.0, 1.0]) == 0.0
-
-    def test_skewed_weights(self):
-        # 0.75*log(0.75) + 0.25*log(0.25), frozen analytic value
-        got = relative_entropy([0.75, 0.25], [1.0, 1.0])
-        assert got == pytest.approx(-0.5623351446188083, abs=1e-15)
-
-    def test_zero_prior_rejected(self):
-        with pytest.raises(DomainError):
-            relative_entropy([0.5, 0.5], [1.0, 0.0])
-
-
 class TestDualObjective:
     def test_symmetric_pair(self):
-        ns = nodes_1d(-1.0, 1.0)
-        s = shift(ns, [0.0])
-        prior = gaussian_prior(s, 0.0)
-        value, grad, hess = dual_objective([0.0], s, prior)
+        tilde, log_prior = dual_inputs([[-1.0], [1.0]], [0.0], 0.0)
+        value, grad, hess, _ = _dual_eval(np.zeros(1), tilde, log_prior)
         assert value == pytest.approx(np.log(2), abs=1e-15)
         assert grad[0] == pytest.approx(0.0, abs=1e-15)
         assert hess[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_asymmetric_gradient(self):
-        ns = nodes_1d(0.0, 1.0)
-        s = shift(ns, [0.25])
-        prior = gaussian_prior(s, 0.0)
-        _, grad, _ = dual_objective([0.0], s, prior)
+        tilde, log_prior = dual_inputs([[0.0], [1.0]], [0.25], 0.0)
+        _, grad, _, _ = _dual_eval(np.zeros(1), tilde, log_prior)
         assert grad[0] == pytest.approx(-0.25, abs=1e-15)
 
     def test_log_sum_exp_guards_overflow(self):
-        ns = nodes_1d(0.0, 1.0)
-        s = shift(ns, [0.5])
-        prior = gaussian_prior(s, 1e6)
-        value, grad, _ = dual_objective([1e4], s, prior)
+        tilde, log_prior = dual_inputs([[0.0], [1.0]], [0.5], 1e6)
+        value, grad, _, _ = _dual_eval(np.array([1e4]), tilde, log_prior)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
 
     def test_matches_finite_differences(self):
@@ -101,21 +78,14 @@ class TestDualObjective:
             nodes, _ = random_interior_instance(rng)
             d = nodes.shape[1]
             x = nodes.mean(axis=0)
-            s = shift(NodeSet(nodes), x)
             beta = float(rng.choice([0.0, 1.0, 10.0]))
-            prior = gaussian_prior(s, beta)
+            tilde, log_prior = dual_inputs(nodes, x, beta)
             lam = rng.normal(0.0, 1.0, d)
-            _, grad, hess = dual_objective(lam, s, prior)
-            g_fd = fd_gradient(lam, s.tilde, prior.log_values)
-            h_fd = fd_hessian(lam, s.tilde, prior.log_values)
+            _, grad, hess, _ = _dual_eval(lam, tilde, log_prior)
+            g_fd = fd_gradient(lam, tilde, log_prior)
+            h_fd = fd_hessian(lam, tilde, log_prior)
             assert np.abs(grad - g_fd).max() <= 1e-6 * (1.0 + np.abs(grad).max())
             assert np.abs(hess - h_fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
-
-    def test_dimension_check(self):
-        ns = nodes_1d(0.0, 1.0)
-        s = shift(ns, [0.5])
-        with pytest.raises(DimensionError):
-            dual_objective([0.0, 0.0], s, gaussian_prior(s, 0.0))
 
 
 class TestSolveBasis:
@@ -195,8 +165,6 @@ class TestSolveBasis:
             previous = w_center
 
     def test_entropy_is_maximal_among_feasible_weights(self):
-        from maxentfit import entropy as H
-
         rng = np.random.default_rng(8)
         for _ in range(20):
             nodes, x = random_interior_instance(rng, d_max=3, n_max=15)
@@ -205,13 +173,57 @@ class TestSolveBasis:
             ev = solve_basis(ns, x, 0.0)
             cert = np.maximum(cert, 0.0)
             cert = cert / cert.sum()
-            assert H(ev.weights) >= H(cert) - 1e-9
+            assert entropy(ev.weights) >= entropy(cert) - 1e-9
 
     def test_nonconvergence_reports_best_iterate(self):
         ev = solve_basis(nodes_1d(0.0, 1.0), [0.0], 0.0, opts=SolverOptions(max_iter=3))
         assert not ev.converged
         assert ev.iterations == 3
         assert np.isfinite(ev.residual)
+
+
+@functools.lru_cache(maxsize=None)
+def large_beta_draw(d):
+    """Nodes (box corners plus uniform points) and 100 interior queries in ``d`` = 2 or 3.
+
+    One generator draws d = 2 first, then d = 3, so each draw is fixed.
+    """
+    rng = np.random.default_rng(0)
+    for dim, extra in ((2, 30), (3, 40)):
+        corners = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
+        nodes = np.vstack([corners, rng.uniform(0.05, 0.95, (extra, dim))])
+        queries = rng.uniform(0.1, 0.9, (100, dim))
+        if dim == d:
+            return nodes, queries
+
+
+def large_beta_errors(d, gamma):
+    """Max |psi - Delaunay weights| and the non-converged query indices at beta = gamma n^(2/d)."""
+    nodes, queries = large_beta_draw(d)
+    ns = NodeSet(nodes)
+    beta = gamma * ns.n ** (2 / d)
+    evals = [solve_basis(ns, x, beta) for x in queries]
+    err = np.abs(np.array([ev.weights for ev in evals]) - delaunay_weights(nodes, queries)).max()
+    return err, [i for i, ev in enumerate(evals) if not ev.converged]
+
+
+class TestLargeBetaLimit:
+    """Local max-ent weights approach the Delaunay barycentric weights as beta grows."""
+
+    @pytest.mark.parametrize("d, gamma, gate", [(2, 1e3, 1e-5), (3, 1e3, 1e-5), (3, 1e4, 1e-8)])
+    def test_matches_delaunay(self, d, gamma, gate):
+        err, failed = large_beta_errors(d, gamma)
+        assert failed == []
+        assert err <= gate
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND in CHANGES.md: at beta = 3.4e5, d = 2, query 80 stops at the "
+        "100-iteration cap with residual 0.074; it converges only after 322 iterations",
+    )
+    def test_converges_at_gamma_1e4_in_2d(self):
+        _, failed = large_beta_errors(2, 1e4)
+        assert failed == []
 
 
 class TestBasisMatrix:
@@ -261,6 +273,5 @@ class TestSolverOptions:
             SolverOptions(max_iter=0)
 
     def test_prior_rejects_negative_beta(self):
-        s = shift(nodes_1d(0.0, 1.0), [0.5])
         with pytest.raises(DomainError):
-            gaussian_prior(s, -1.0)
+            solve_basis(nodes_1d(0.0, 1.0), [0.5], beta=-1.0)
