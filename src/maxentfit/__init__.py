@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     FitError,
     MaxentError,
-    NumericalBlowup,
     OutsideHullError,
 )
 from .geometry import (

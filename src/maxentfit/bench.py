@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalBlowup
+from . import fileio
+from .errors import ConfigError
 from .geometry import HullLocation, NodeSet, augment_nodes, grid_nodes, in_hull
 from .maxent import SolverOptions
 from .approximator import Dataset, fit, predict_batch
@@ -45,11 +46,11 @@ class ExperimentConfig:
     seed: int = 0
     beta: float = 0.0
     alpha: float = 0.0
-    bounds: list | None = None
-    grid_counts: list = field(default_factory=list)
+    bounds: list[tuple[float, float]] | None = None
+    grid_counts: list[int] = field(default_factory=list)
     n_train: int = 0
-    train_resolution: list | None = None
-    test_resolution: int | list | None = None
+    train_resolution: list[int] | None = None
+    test_resolution: int | list[int] | None = None
     augment_count: int = 0
     pad_fraction: float = 0.1
     caption_variant: bool = False
@@ -61,7 +62,7 @@ class ExperimentConfig:
     t_end: float | None = None
     oversample: int = 10
     rollout_dt: float | None = None
-    x0: list | None = None
+    x0: list[float] | None = None
     lorenz_sigma: float = 10.0
     lorenz_rho: float = 28.0
     lorenz_gamma: float = 8.0 / 3.0
@@ -80,6 +81,9 @@ class ExperimentConfig:
     dict_trig_frequency: float = 1.0
     dict_threshold: float = 0.05
     dict_sweeps: int = 10
+
+    def __post_init__(self):
+        fileio.check_json_types(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -445,8 +449,7 @@ def _windowed_rms(model_traj: Trajectory, truth: Trajectory, t_max: float) -> fl
 def _max_deviation(model_traj: Trajectory, truth: Trajectory, t_max: float) -> float:
     """Largest Euclidean state deviation within ``[0, t_max]``.
 
-    A rollout that ended (hull exit or blowup) before ``t_max`` deviates
-    maximally: returns inf.
+    A rollout that stopped before ``t_max`` deviates maximally: returns inf.
     """
     n = min(model_traj.n_samples, truth.n_samples)
     mask = truth.times[:n] <= t_max + 1e-12
@@ -457,23 +460,12 @@ def _max_deviation(model_traj: Trajectory, truth: Trajectory, t_max: float) -> f
     return float(dev.max())
 
 
-def _safe_rollout(field, x0, t_span, dt):
-    """Integrate, converting a numerical blowup into the valid prefix."""
-    try:
-        return integrate(field, x0, t_span, dt), False
-    except NumericalBlowup as err:
-        if err.times is None or len(err.times) == 0:
-            raise
-        return Trajectory(err.times, err.states), True
-
-
 def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs, horizon, dt):
     """Fit the field surrogate, then roll it and the true field ``rhs`` out.
 
     Both rollouts start from the first training state and run over
     ``[0, horizon]`` at output step ``dt``. Returns the report holding the
-    extras every dynamics experiment shares, the trajectory artifacts, and
-    whether the surrogate rollout blew up.
+    extras every dynamics experiment shares and the trajectory artifacts.
     """
     model = fit_dynamics(
         nodes, train, config.beta, config.alpha,
@@ -482,7 +474,8 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
     per_component = [r.training_rms for r in model.fit_reports]
     x0 = train.points[0]
     truth_roll = integrate(rhs, x0, (0.0, horizon), dt, substeps=config.oversample)
-    model_traj, blew_up = _safe_rollout(model, x0, (0.0, horizon), dt)
+    model_traj = integrate(model, x0, (0.0, horizon), dt)
+    stop = model_traj.domain_exit
 
     n = min(model_traj.n_samples, truth_roll.n_samples)
     rms_full = trajectory_rms(_prefix(model_traj, n), _prefix(truth_roll, n))
@@ -493,7 +486,7 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
         "trajectory_rms_full": rms_full,
         "rollout_samples": model_traj.n_samples,
         "rollout_exit_time": (
-            model_traj.domain_exit.time if model_traj.domain_exit is not None else None
+            stop.time if stop is not None and stop.reason != "blowup" else None
         ),
     }
     report = Report(
@@ -504,39 +497,42 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
         extras=extras,
     )
     artifacts = {"train": train, "truth_traj": truth_roll, "model_traj": model_traj}
-    return report, artifacts, blew_up
+    return report, artifacts
 
 
 def _baseline_rollout(config: ExperimentConfig, train: Dataset, horizon, dt):
     """Fit the dictionary baseline and roll it out like the surrogate.
 
-    Returns the baseline model, its trajectory, and whether it blew up.
+    Returns the baseline model and its trajectory.
     """
     dmodel = _fit_dictionary(config, train)
     base_field = lambda s: dict_predict(dmodel, s)  # noqa: E731
-    base_traj, blew_up = _safe_rollout(base_field, train.points[0], (0.0, horizon), dt)
-    return dmodel, base_traj, blew_up
+    return dmodel, integrate(base_field, train.points[0], (0.0, horizon), dt)
+
+
+def _blew_up(traj: Trajectory) -> bool:
+    return traj.domain_exit is not None and traj.domain_exit.reason == "blowup"
 
 
 def _run_lorenz(config: ExperimentConfig, baseline: bool):
     train, _, nodes = gen_lorenz(config)
     dt = config.rollout_dt if config.rollout_dt is not None else config.t_end / (config.n_train - 1)
     rhs = lorenz_rhs(config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma)
-    report, artifacts, blew_up = _fit_and_roll(config, train, nodes, rhs, config.t_end, dt)
+    report, artifacts = _fit_and_roll(config, train, nodes, rhs, config.t_end, dt)
     truth_roll = artifacts["truth_traj"]
     extras = report.extras
     extras["trajectory_rms_early"] = _windowed_rms(
         artifacts["model_traj"], truth_roll, 0.2 * config.t_end
     )
     extras["early_window_fraction"] = 0.2
-    extras["rollout_blowup"] = blew_up
+    extras["rollout_blowup"] = _blew_up(artifacts["model_traj"])
     if baseline:
-        dmodel, base_traj, base_blowup = _baseline_rollout(config, train, config.t_end, dt)
+        dmodel, base_traj = _baseline_rollout(config, train, config.t_end, dt)
         nb = min(base_traj.n_samples, truth_roll.n_samples)
         extras["baseline_trajectory_rms_full"] = trajectory_rms(
             _prefix(base_traj, nb), _prefix(truth_roll, nb)
         )
-        extras["baseline_rollout_blowup"] = base_blowup
+        extras["baseline_rollout_blowup"] = _blew_up(base_traj)
         base_pred = dict_predict_batch(dmodel, train.points)
         extras["baseline_derivative_rms_per_component"] = [
             float(np.sqrt(np.mean((train.values[:, j] - base_pred[:, j]) ** 2)))
@@ -558,7 +554,7 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
         data_t_end / (config.n_train - 1), period / 200.0
     )
     rhs = orbit_rhs(config.orbit_mu, config.orbit_ecc, h0)
-    report, artifacts, blew_up = _fit_and_roll(config, train, nodes, rhs, horizon, dt)
+    report, artifacts = _fit_and_roll(config, train, nodes, rhs, horizon, dt)
     model_traj, truth_roll = artifacts["model_traj"], artifacts["truth_traj"]
 
     n = min(model_traj.n_samples, truth_roll.n_samples)
@@ -570,11 +566,7 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
             "period": period,
             "h0": h0,
             "rollout_horizon": horizon,
-            "rollout_completed": bool(
-                model_traj.domain_exit is None
-                and not blew_up
-                and model_traj.n_samples == truth_roll.n_samples
-            ),
+            "rollout_completed": model_traj.domain_exit is None,
             "max_angular_momentum_error": float(h_err.max()) if h_err.size else float("inf"),
             "truth_max_angular_momentum_error": float(h_err_truth.max()),
         }
@@ -582,14 +574,14 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
     artifacts["h_err_model"] = h_err
     artifacts["h_err_truth"] = h_err_truth
     if baseline:
-        _, base_traj, base_blowup = _baseline_rollout(config, train, horizon, dt)
+        _, base_traj = _baseline_rollout(config, train, horizon, dt)
         window = 0.1 * period
         maxent_dev = _max_deviation(model_traj, truth_roll, window)
         base_dev = _max_deviation(base_traj, truth_roll, window)
         extras["deviation_window"] = window
         extras["maxent_deviation"] = maxent_dev
         extras["baseline_deviation"] = base_dev
-        extras["baseline_rollout_blowup"] = base_blowup
+        extras["baseline_rollout_blowup"] = _blew_up(base_traj)
         extras["baseline_deviation_ratio"] = (
             base_dev / maxent_dev if maxent_dev > 0 else float("inf")
         )
@@ -629,7 +621,5 @@ def run_experiment(
         report, artifacts = _run_orbit(config, baseline)
     report.runtime_s = time.perf_counter() - start
     if out_dir is not None:
-        from . import fileio
-
         fileio.write_experiment_artifacts(out_dir, report, artifacts)
     return report

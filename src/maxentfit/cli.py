@@ -8,8 +8,8 @@ simulate   roll a saved field model forward in time with fixed-step RK4
 bench      run a named benchmark experiment and write its artifact bundle
 
 Exit codes: 0 success, 2 parse/config error, 3 point outside the node hull,
-4 solver failure, 5 simulation left the hull (partial trajectory written),
-6 numerical blowup (partial trajectory written).
+4 solver failure, 5 simulation left the hull, 6 numerical blowup. When
+``simulate`` stops early (4, 5 or 6) it writes the valid partial trajectory.
 
 Every RunConfig key can be overridden through the environment as
 ``MAXENTFIT_<KEY>`` (upper-cased, JSON-encoded value), e.g.
@@ -35,14 +35,13 @@ from .errors import (
     DimensionError,
     DomainError,
     FitError,
-    NumericalBlowup,
     OutsideHullError,
 )
 from .geometry import NodeSet, augment_nodes, grid_nodes
 from .geometry import in_hull  # noqa: F401  (perfbench/test_perfbench.py traces this binding)
 from .maxent import SolverOptions, basis_matrix
 from .approximator import Approximant, check_converged, fit
-from .dynamics import SurrogateModel, Trajectory, fit_dynamics, integrate
+from .dynamics import SurrogateModel, fit_dynamics, integrate
 
 ENV_PREFIX = "MAXENTFIT_"
 
@@ -53,36 +52,9 @@ EXIT_SOLVER = 4
 EXIT_LEFT_HULL = 5
 EXIT_BLOWUP = 6
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _list_of(check):
-    return lambda v: v is None or (isinstance(v, list) and all(map(check, v)))
-
-
-# The JSON values each RunConfig key accepts, and how errors name them. The
-# config file and the environment both reach them through dataclasses.replace.
-_KEY_TYPES = {
-    "seed": (_is_int, "an integer"),
-    "beta": (_is_real, "a number"),
-    "alpha": (_is_real, "a number"),
-    "grid_bounds": (
-        _list_of(lambda b: isinstance(b, list) and len(b) == 2 and all(map(_is_real, b))),
-        "null or a list of [low, high] number pairs",
-    ),
-    "grid_counts": (_list_of(_is_int), "null or a list of integers"),
-    "nodes_from_data": (lambda v: isinstance(v, bool), "true or false"),
-    "augment_count": (_is_int, "an integer"),
-    "pad_fraction": (_is_real, "a number"),
-    "solver_tol": (_is_real, "a number"),
-    "solver_max_iter": (_is_int, "an integer"),
-    "hull_tol": (_is_real, "a number"),
+# Exit code of `simulate` per DomainExit reason; each writes the valid prefix.
+_EXIT_EARLY_STOP = {
+    "left_hull": EXIT_LEFT_HULL, "nonconverged": EXIT_SOLVER, "blowup": EXIT_BLOWUP
 }
 
 
@@ -98,8 +70,8 @@ class RunConfig:
     seed: int = 0
     beta: float = 1.0
     alpha: float = 0.0
-    grid_bounds: list | None = None
-    grid_counts: list | None = None
+    grid_bounds: list[tuple[float, float]] | None = None
+    grid_counts: list[int] | None = None
     nodes_from_data: bool = False
     augment_count: int = 0
     pad_fraction: float = 0.1
@@ -108,10 +80,9 @@ class RunConfig:
     hull_tol: float = 1e-9
 
     def __post_init__(self):
-        for name, (check, expected) in _KEY_TYPES.items():
-            value = getattr(self, name)
-            if not check(value):
-                raise ConfigError(f"config key {name!r} must be {expected}, got {value!r}")
+        # the config file and the environment both reach here through
+        # dataclasses.replace
+        fileio.check_json_types(self)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -249,24 +220,16 @@ def cmd_simulate(args) -> int:
         x0 = [float(tok) for tok in args.x0.split(",")]
     except ValueError:
         raise ConfigError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
-    try:
-        traj = integrate(model, x0, (0.0, args.t1), args.dt)
-    except NumericalBlowup as err:
-        fileio.write_trajectory_csv(args.out, Trajectory(err.times, err.states))
-        print(
-            f"simulate: numerical blowup after t={err.times[-1]!r}; "
-            f"partial trajectory -> {args.out}",
-            file=sys.stderr,
-        )
-        return EXIT_BLOWUP
+    traj = integrate(model, x0, (0.0, args.t1), args.dt)
     fileio.write_trajectory_csv(args.out, traj)
-    if traj.domain_exit is not None:
+    stop = traj.domain_exit
+    if stop is not None:
         print(
-            f"simulate: trajectory left the node hull; last valid time "
-            f"t={traj.domain_exit.time!r}; partial trajectory -> {args.out}",
+            f"simulate: rollout stopped ({stop.reason}); last valid time "
+            f"t={stop.time!r}; partial trajectory -> {args.out}",
             file=sys.stderr,
         )
-        return EXIT_LEFT_HULL
+        return _EXIT_EARLY_STOP[stop.reason]
     print(f"simulate: {traj.n_samples} samples to t={args.t1} -> {args.out}")
     return EXIT_OK
 
@@ -278,10 +241,9 @@ def _parse_overrides(pairs) -> dict:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw  # bare strings are allowed
-        overrides[key] = value
+            raise ConfigError(f"--set {key}: value must be JSON, got {raw!r}") from None
     return overrides
 
 

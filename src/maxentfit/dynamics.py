@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalBlowup, OutsideHullError
+from .errors import DimensionError, DomainError, FitError, OutsideHullError
 from .geometry import DEFAULT_HULL_TOL, NodeSet, as_point
 from .maxent import DEFAULT_OPTIONS, SolverOptions, solve_basis
 from .approximator import Dataset, FitReport, _fit_columns, check_converged
@@ -36,8 +36,15 @@ class SurrogateModel:
 
 @dataclass(frozen=True)
 class DomainExit:
-    """Rollout stopped because a Runge-Kutta stage left the node hull."""
+    """Why and where a rollout stopped before its end time.
 
+    ``reason`` is ``"left_hull"`` (a Runge-Kutta stage left the node hull;
+    ``exit_point`` is that stage), ``"nonconverged"`` (a basis solve at a
+    stage did not converge) or ``"blowup"`` (the step came out
+    non-finite). ``time`` and ``state`` are the last valid sample.
+    """
+
+    reason: str
     time: float
     state: np.ndarray
     exit_point: np.ndarray | None = None
@@ -47,8 +54,8 @@ class DomainExit:
 class Trajectory:
     """Time grid and states of one integrated trajectory.
 
-    ``domain_exit`` is set when the rollout stopped early at the hull
-    boundary; the stored samples are the valid prefix.
+    ``domain_exit`` is set when the rollout stopped early; the stored
+    samples are then the valid prefix.
     """
 
     times: np.ndarray
@@ -138,10 +145,9 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
     Parameters
     ----------
     field : SurrogateModel or callable
-        Surrogate fields are hull-checked: if any Runge-Kutta stage leaves
-        the node hull the rollout stops and the returned trajectory carries
-        a :class:`DomainExit` record (callers decide how to proceed). Plain
-        callables map a state vector to its derivative and are trusted.
+        Surrogate fields are hull-checked and their basis solves must
+        converge. Plain callables map a state vector to its derivative and
+        are trusted.
     x0 : array_like
         Initial state; must be inside the hull for surrogate fields.
     t_span : (t0, t1)
@@ -152,12 +158,10 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
         reference trajectories on the same output grid with less
         integration error.
 
-    Raises
-    ------
-    NumericalBlowup
-        A state became non-finite; carries the valid trajectory prefix.
-    FitError
-        A basis solve of a surrogate field did not converge.
+    A step that leaves the hull, meets a non-converged basis solve or comes
+    out non-finite ends the rollout: the returned trajectory holds the
+    valid prefix and a :class:`DomainExit` record saying which of the three
+    happened. Only bad arguments raise (``DomainError``, ``DimensionError``).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not dt > 0:
@@ -171,9 +175,10 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
         x = as_point(x0, field.nodes.d)
 
         def f(s):
-            # a non-finite stage is divergence, not a malformed query
+            # a non-finite stage is divergence, not a malformed query: pass
+            # it on so the step comes out non-finite
             if not np.all(np.isfinite(s)):
-                raise NumericalBlowup("stage state became non-finite")
+                return s
             return eval_field(field, s)
 
     else:
@@ -182,29 +187,24 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
 
     times = _time_grid(t0, t1, dt)
     states = [x]
-    exit_record = None
     for i in range(times.size - 1):
         h = (times[i + 1] - times[i]) / substeps
         cur = states[-1]
+        reason = point = None
         try:
             for _ in range(substeps):
                 cur = _rk4_step(f, cur, h)
         except OutsideHullError as err:
-            exit_record = DomainExit(
-                time=float(times[i]), state=states[-1], exit_point=err.point
-            )
-            times = times[: i + 1]
-            break
-        except NumericalBlowup:
-            cur = np.array([np.nan])
-        if not np.all(np.isfinite(cur)):
-            raise NumericalBlowup(
-                f"state became non-finite between t={times[i]} and t={times[i + 1]}",
-                times=times[: i + 1],
-                states=np.vstack(states),
-            )
+            reason, point = "left_hull", err.point
+        except FitError:
+            reason = "nonconverged"
+        if reason is None and not np.all(np.isfinite(cur)):
+            reason = "blowup"
+        if reason is not None:
+            stop = DomainExit(reason, float(times[i]), states[-1], point)
+            return Trajectory(times[: i + 1], np.vstack(states), stop)
         states.append(cur)
-    return Trajectory(times=times, states=np.vstack(states), domain_exit=exit_record)
+    return Trajectory(times=times, states=np.vstack(states))
 
 
 def trajectory_rms(a: Trajectory, b: Trajectory) -> float:

@@ -40,18 +40,5 @@ class FitError(MaxentError, RuntimeError):
         self.component = component
 
 
-class NumericalBlowup(MaxentError, RuntimeError):
-    """Time integration produced a non-finite state.
-
-    Carries the valid prefix of the trajectory so callers can inspect how
-    far the rollout got before it diverged.
-    """
-
-    def __init__(self, message, times=None, states=None):
-        super().__init__(message)
-        self.times = times
-        self.states = states
-
-
 class AugmentationWarning(UserWarning):
     """Fewer distinct augmentation candidates than requested."""

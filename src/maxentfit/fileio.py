@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,36 @@ def load_model(path):
         raise ConfigError(f"{path}: model file lacks key {err}") from None
     except (TypeError, ValueError) as err:  # ConfigError, DimensionError, ragged arrays
         raise ConfigError(f"{path}: malformed model file: {err}") from None
+
+
+def check_json_types(config) -> None:
+    """Check that each field of dataclass ``config`` holds a JSON value of its annotated type.
+
+    Integers count as floats, booleans as neither; ``tuple[X, Y]`` is a JSON
+    list of that length. Raises :class:`ConfigError` naming the first bad key.
+    """
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _is_json_of(value, hints[f.name]):
+            raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+
+
+def _is_json_of(value, tp) -> bool:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_json_of(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_is_json_of(v, args[0]) for v in value)
+    if origin is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(
+            map(_is_json_of, value, args)
+        )
+    if tp is float:
+        return _is_json_of(value, int) or isinstance(value, float)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)  # bool, str, None
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,13 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
     Solves the linear program
 
         max s   s.t.   sum(w) = 1,   |nodes^T w - x| <= tol per coordinate,
-                       w_i >= s
+                       w_i >= s,   w_i >= 0
 
     The optimum ``s*`` is the best achievable minimum weight: ``s* > 0``
-    certifies a strictly positive convex combination (interior), ``s* = 0``
-    a combination that needs a zero weight (boundary), and ``s* < 0`` means
-    ``x`` is outside. Infeasibility means ``x`` is farther than ``tol``
-    from the affine span of the nodes, which is also outside.
+    certifies a strictly positive convex combination (interior) and
+    ``s* = 0`` a combination that needs a zero weight (boundary).
+    Infeasibility means no convex combination reproduces ``x`` within
+    ``tol``: ``x`` is outside.
 
     Returns
     -------
@@ -176,7 +176,7 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
         ]
     )
     b_ub = np.concatenate([x + slack, slack - x, np.zeros(n)])
-    bounds = [(None, None)] * n + [(None, 1.0)]
+    bounds = [(0.0, None)] * n + [(None, None)]
     res = linprog(
         c,
         A_ub=a_ub,
@@ -193,9 +193,7 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
     w = res.x[:n]
     if s > _WEIGHT_MARGIN:
         return HullLocation.INTERIOR, w
-    if s >= -_WEIGHT_MARGIN:
-        return HullLocation.BOUNDARY, w
-    return HullLocation.OUTSIDE, None
+    return HullLocation.BOUNDARY, w
 
 
 def in_hull(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL) -> HullLocation:

@@ -288,6 +288,12 @@ def test_criterion_8g_determinism(tmp_path):
             False,
             ["report.json", "train.csv", "trajectory_true.csv", "trajectory_model.csv"],
         ),
+        (
+            "orbit-sparse",
+            True,
+            ["report.json", "train.csv", "trajectory_true.csv", "trajectory_model.csv",
+             "trajectory_baseline.csv", "angular_momentum.csv"],
+        ),
     ):
         a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         run_experiment(name, baseline=baseline, out_dir=a)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentfit import Dataset, NumericalBlowup, cli, fileio, geometry, predict
+from maxentfit import Dataset, fileio, geometry, predict
 from maxentfit.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -321,15 +321,18 @@ class TestSimulate:
         assert code == EXIT_LEFT_HULL
         assert len(out.read_text().strip().splitlines()) > 1  # partial trajectory written
 
-    def test_blowup_exits_6(self, tmp_path, decay_model, monkeypatch):
-        def boom(field, x0, t_span, dt):
-            raise NumericalBlowup("diverged", times=np.array([0.0]),
-                                  states=np.array([[1.0]]))
-
-        monkeypatch.setattr(cli, "integrate", boom)
-        code = main(["simulate", "--model", str(decay_model), "--x0", "1.0",
-                     "--t1", "1.0", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+    def test_blowup_exits_6(self, tmp_path, decay_model, capsys):
+        # a field of 1e308 everywhere sends the first half step to inf
+        payload = json.loads(decay_model.read_text())
+        payload["coefficients"] = [[1e308]] * len(payload["coefficients"])
+        decay_model.write_text(json.dumps(payload))
+        out = tmp_path / "t.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--model", str(decay_model), "--x0", "0.0",
+                         "--t1", "1000", "--dt", "1000", "--out", str(out)])
         assert code == EXIT_BLOWUP
+        assert out.read_text().splitlines() == ["t,x1", "0.0,0.0"]
+        assert "(blowup); last valid time t=0.0;" in capsys.readouterr().err
 
     def test_nonconverged_stage_exits_4(self, tmp_path):
         # 5e-10 past the edge of a 4x4 box grid: inside the hull tolerance,
@@ -343,9 +346,11 @@ class TestSimulate:
         model_file = tmp_path / "model.json"
         assert main(["fit", "--data", str(data), "--config", str(config),
                      "--out", str(model_file)]) == EXIT_OK
+        out = tmp_path / "t.csv"
         code = main(["simulate", "--model", str(model_file), "--x0", "1.0000000005,0.5",
-                     "--t1", "1.0", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+                     "--t1", "1.0", "--dt", "0.1", "--out", str(out)])
         assert code == EXIT_SOLVER
+        assert out.read_text().splitlines() == ["t,x1,x2", "0.0,1.0000000005,0.5"]
 
     def test_bad_dt_exits_2(self, tmp_path, decay_model):
         assert main(["simulate", "--model", str(decay_model), "--x0", "1.0",
@@ -385,6 +390,19 @@ class TestBenchCommand:
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["bench", "--experiment", "sine", "--set", "nope=1",
                      "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "experiment, pair",
+        [("sine", "beta=abc"), ("sine", "grid_counts=5"), ("sine", "n_train=2.5"),
+         ("sine", "bounds=[[0,1,2]]"), ("sine", 'beta="1"'), ("lorenz", "lorenz_rho=abc"),
+         ("sine", "dict_degree=x")],
+    )
+    def test_mistyped_override_exits_2_naming_key(self, tmp_path, capsys, experiment, pair):
+        out = tmp_path / "b"
+        assert main(["bench", "--experiment", experiment, "--set", pair,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert pair.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_print_config_runs_nothing(self, tmp_path, capsys):
         code = main(["bench", "--experiment", "sine", "--print-config",

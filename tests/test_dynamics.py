@@ -7,7 +7,6 @@ from maxentfit import (
     DomainError,
     FitError,
     NodeSet,
-    NumericalBlowup,
     SurrogateModel,
     Trajectory,
     angular_momentum_error,
@@ -154,21 +153,24 @@ class TestIntegrate:
         pts = np.linspace(0.0, 1.0, 9)[:, None]
         model = fit_dynamics(nodes, Dataset(pts, np.ones_like(pts)), beta=0.0, alpha=0.0)
         traj = integrate(model, [0.5], (0.0, 5.0), 0.05)
-        assert traj.domain_exit is not None
+        assert traj.domain_exit.reason == "left_hull"
         assert traj.times[-1] == traj.domain_exit.time
         assert traj.states[-1, 0] <= 1.0 + 1e-6
         assert traj.n_samples < 101
 
-    def test_nonconverged_stage_raises_fit_error(self):
-        with pytest.raises(FitError):
-            integrate(zero_field_model(), [1 + 5e-10, 0.5], (0.0, 1.0), 0.1)
+    def test_nonconverged_stage_stops_with_prefix(self):
+        traj = integrate(zero_field_model(), [1 + 5e-10, 0.5], (0.0, 1.0), 0.1)
+        assert traj.domain_exit.reason == "nonconverged"
+        assert traj.n_samples == 1 and traj.domain_exit.time == 0.0
+        np.testing.assert_array_equal(traj.states[0], [1 + 5e-10, 0.5])
 
-    def test_numerical_blowup_carries_prefix(self):
+    def test_blowup_stops_with_finite_prefix(self):
+        # x' = x^2 from x = 1 diverges at t = 1
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalBlowup) as exc:
-                integrate(lambda s: s**2, [1.0], (0.0, 2.0), 0.05)
-        assert exc.value.times is not None and len(exc.value.times) >= 1
-        assert np.all(np.isfinite(exc.value.states))
+            traj = integrate(lambda s: s**2, [1.0], (0.0, 2.0), 0.05)
+        assert traj.domain_exit.reason == "blowup"
+        assert traj.times[-1] == traj.domain_exit.time < 2.0
+        assert np.all(np.isfinite(traj.states))
 
 
 class TestTrajectoryRms:

@@ -108,6 +108,15 @@ class TestInHull:
         # beyond the segment but on the span
         assert in_hull(collinear, [3.0, 3.0]) is HullLocation.OUTSIDE
 
+    def test_lp_rejects_points_just_past_a_face(self):
+        # 1.5 and 3 tol past the face z = 0 are outside for the LP, as for the
+        # bound check; 0.5 tol past is within tolerance.
+        cube = NodeSet(np.array(list(itertools.product([0.0, 1.0], repeat=3))))
+        for z, expected in [(-3e-9, HullLocation.OUTSIDE), (-1.5e-9, HullLocation.OUTSIDE),
+                            (-5e-10, HullLocation.BOUNDARY)]:
+            assert hull_weights(cube, [0.0, 0.0, z], 1e-9)[0] is expected, z
+            assert in_hull(cube, [0.0, 0.0, z], 1e-9) is expected, z
+
     def test_box_fast_path_matches_lp(self):
         grid = grid_nodes([(0.0, 1.0), (0.0, 2.0)], [4, 4])
         rng = np.random.default_rng(3)
@@ -129,7 +138,7 @@ class TestInHull:
     @given(
         st.data(),
         st.integers(1, 3),
-        st.sampled_from([1e-6, 1e-4]),
+        st.sampled_from([1e-8, 1e-6, 1e-4]),
     )
     @settings(max_examples=100, deadline=None)
     def test_bound_check_agrees_with_lp_on_outside(self, data, d, tol):
@@ -137,8 +146,9 @@ class TestInHull:
         # it must agree with the LP on OUTSIDE versus not. Queries sit at
         # least 2 tol or at most 0.5 tol from every face plane: the LP's
         # slack is tol (1 - 1e-6), so the band in between may differ. The
-        # LP also accepts weights down to -1e-9, which reaches about
-        # 1e-9 * extent past the hull; tol is drawn well above that.
+        # LP resolves weights only to its 1e-10 feasibility tolerance, which
+        # reaches about 1e-10 * extent (up to 10 here) past the hull; at tol
+        # 1e-9 that passes 2 tol, so tol is drawn from 1e-8 up.
         coord = st.floats(-10.0, 10.0, allow_nan=False)
         lo = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
         width = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
