@@ -9,15 +9,17 @@ are byte-identical across runs.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .errors import ConfigError
-from .geometry import HullLocation, NodeSet, augment_nodes, grid_nodes, in_hull
+from .geometry import HullLocation, NodeSet, augment_nodes, grid_nodes, in_hull, padded_bounds
 from .maxent import SolverOptions
 from .approximator import Dataset, fit, predict_batch
 from .baselines import Dictionary, dict_fit, dict_predict, dict_predict_batch
@@ -29,7 +31,55 @@ from .dynamics import (
     angular_momentum_error,
 )
 
-EXPERIMENTS = ("sine", "gauss2d", "rosenbrock", "lorenz", "orbit", "orbit-sparse")
+# Per experiment, the ExperimentConfig fields that differ from their defaults.
+_DEFAULTS = {
+    "sine": dict(
+        beta=100.0,
+        bounds=[[0.0, 1.0]],
+        grid_counts=[10],
+        n_train=20,
+        test_resolution=50,
+        dict_trig_frequency=float(2.0 * np.pi),
+    ),
+    "gauss2d": dict(
+        beta=10.0,
+        bounds=[[0.0, 1.0], [0.0, 1.0]],
+        grid_counts=[8, 8],
+        train_resolution=[16, 16],
+        test_resolution=[32, 32],
+    ),
+    "rosenbrock": dict(
+        beta=5.0,
+        bounds=[[-1.0, 1.0], [-1.0, 1.0]],
+        grid_counts=[8, 8],
+        train_resolution=[16, 16],
+        test_resolution=[32, 32],
+    ),
+    "lorenz": dict(
+        beta=0.002,
+        grid_counts=[5, 5, 5],
+        n_train=500,
+        augment_count=100,
+        t_end=5.0,
+        dict_degree=2,
+        dict_trig=False,
+    ),
+    "orbit": dict(
+        beta=0.1,
+        grid_counts=[5, 5, 5, 5],
+        n_train=500,
+        augment_count=100,
+    ),
+    "orbit-sparse": dict(
+        beta=0.01,
+        grid_counts=[5, 5, 5, 5],
+        n_train=20,
+        augment_count=20,
+        rollout_periods=1.0,
+    ),
+}
+
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 @dataclass
@@ -122,67 +172,10 @@ class Report:
 
 
 def default_config(name: str) -> ExperimentConfig:
-    """Built-in configuration of a named experiment."""
-    if name == "sine":
-        return ExperimentConfig(
-            name=name,
-            beta=100.0,
-            bounds=[[0.0, 1.0]],
-            grid_counts=[10],
-            n_train=20,
-            test_resolution=50,
-            dict_trig_frequency=float(2.0 * np.pi),
-        )
-    if name == "gauss2d":
-        return ExperimentConfig(
-            name=name,
-            beta=10.0,
-            bounds=[[0.0, 1.0], [0.0, 1.0]],
-            grid_counts=[8, 8],
-            train_resolution=[16, 16],
-            test_resolution=[32, 32],
-        )
-    if name == "rosenbrock":
-        return ExperimentConfig(
-            name=name,
-            beta=5.0,
-            bounds=[[-1.0, 1.0], [-1.0, 1.0]],
-            grid_counts=[8, 8],
-            train_resolution=[16, 16],
-            test_resolution=[32, 32],
-        )
-    if name == "lorenz":
-        return ExperimentConfig(
-            name=name,
-            beta=0.002,
-            grid_counts=[5, 5, 5],
-            n_train=500,
-            augment_count=100,
-            t_end=5.0,
-            oversample=10,
-            dict_degree=2,
-            dict_trig=False,
-        )
-    if name == "orbit":
-        return ExperimentConfig(
-            name=name,
-            beta=0.1,
-            grid_counts=[5, 5, 5, 5],
-            n_train=500,
-            augment_count=100,
-            oversample=10,
-        )
-    if name == "orbit-sparse":
-        return ExperimentConfig(
-            name=name,
-            beta=0.01,
-            grid_counts=[5, 5, 5, 5],
-            n_train=20,
-            augment_count=20,
-            oversample=10,
-            rollout_periods=1.0,
-        )
-    raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    """Built-in configuration of a named experiment; fresh lists on every call."""
+    if name not in _DEFAULTS:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    return ExperimentConfig(name=name, **copy.deepcopy(_DEFAULTS[name]))
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict | None) -> ExperimentConfig:
@@ -218,16 +211,13 @@ def _rosenbrock_fn(x: np.ndarray) -> np.ndarray:
 
 
 def lorenz_rhs(sigma: float = 10.0, rho: float = 28.0, gamma: float = 8.0 / 3.0):
-    """Right-hand side of the Lorenz system as a state -> derivative callable."""
-    return lambda s: _lorenz_rhs_batch(np.asarray(s, dtype=float)[None], sigma, rho, gamma)[0]
+    """Right-hand side of the Lorenz system; maps one state or an ``(m, 3)`` batch."""
 
+    def rhs(s):
+        x, y, z = (np.asarray(s, dtype=float)[..., k] for k in range(3))
+        return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - gamma * z], axis=-1)
 
-def _lorenz_rhs_batch(states, sigma, rho, gamma):
-    out = np.empty_like(states)
-    out[:, 0] = sigma * (states[:, 1] - states[:, 0])
-    out[:, 1] = states[:, 0] * (rho - states[:, 2]) - states[:, 1]
-    out[:, 2] = states[:, 0] * states[:, 1] - gamma * states[:, 2]
-    return out
+    return rhs
 
 
 def orbit_rhs(mu: float, ecc: float, h0: float):
@@ -235,18 +225,16 @@ def orbit_rhs(mu: float, ecc: float, h0: float):
 
     ``rddot = (mu ecc / h0) thetadot cos(theta)`` and
     ``thetaddot = -2 thetadot rdot / r``; angular momentum ``r^2 thetadot``
-    is a constant of motion of this system.
+    is a constant of motion of this system. Maps one state or an
+    ``(m, 4)`` batch.
     """
-    return lambda s: _orbit_rhs_batch(np.asarray(s, dtype=float)[None], mu, ecc, h0)[0]
 
+    def rhs(s):
+        r, rdot, theta, thetadot = (np.asarray(s, dtype=float)[..., k] for k in range(4))
+        rddot = (mu * ecc / h0) * thetadot * np.cos(theta)
+        return np.stack([rdot, rddot, thetadot, -2.0 * thetadot * rdot / r], axis=-1)
 
-def _orbit_rhs_batch(states, mu, ecc, h0):
-    out = np.empty_like(states)
-    out[:, 0] = states[:, 1]
-    out[:, 1] = (mu * ecc / h0) * states[:, 3] * np.cos(states[:, 2])
-    out[:, 2] = states[:, 3]
-    out[:, 3] = -2.0 * states[:, 3] * states[:, 1] / states[:, 0]
-    return out
+    return rhs
 
 
 def orbit_constants(config: ExperimentConfig) -> dict:
@@ -312,15 +300,6 @@ def gen_rosenbrock(config: ExperimentConfig):
     return _gen_tensor(config, _rosenbrock_fn)
 
 
-def _padded_bounds(states: np.ndarray, pad_fraction: float) -> list:
-    lo = states.min(axis=0)
-    hi = states.max(axis=0)
-    # Zero-extent axes (conserved coordinates) still need a usable box.
-    floor = pad_fraction * np.maximum(1.0, np.abs(0.5 * (lo + hi)))
-    pad = np.where(hi > lo, pad_fraction * (hi - lo), floor)
-    return [[float(l - p), float(h + p)] for l, h, p in zip(lo, hi, pad)]
-
-
 def _dynamics_nodes(config: ExperimentConfig, states: np.ndarray) -> NodeSet:
     """Grid over ``bounds`` or the padded trajectory bounding box, augmented with data points.
 
@@ -329,9 +308,7 @@ def _dynamics_nodes(config: ExperimentConfig, states: np.ndarray) -> NodeSet:
     """
     bounds = config.bounds
     if bounds is None:
-        if config.pad_fraction < 0:
-            raise ConfigError(f"pad_fraction must be nonnegative, got {config.pad_fraction}")
-        bounds = _padded_bounds(states, config.pad_fraction)
+        bounds = padded_bounds(states, config.pad_fraction)
     grid = grid_nodes(bounds, config.grid_counts)
     nodes = augment_nodes(grid, states, config.augment_count, seed=config.seed)
     if config.bounds is not None:
@@ -343,49 +320,48 @@ def _dynamics_nodes(config: ExperimentConfig, states: np.ndarray) -> NodeSet:
     return nodes
 
 
+def _sample_trajectory(config: ExperimentConfig, rhs, x0, t_end: float):
+    """Truth trajectory of ``rhs`` from ``x0`` with exact derivatives, plus basis nodes.
+
+    ``n_train`` samples span ``[0, t_end]``; each output step takes
+    ``oversample`` RK4 micro-steps.
+    """
+    dt = t_end / (config.n_train - 1)
+    truth = integrate(rhs, x0, (0.0, t_end), dt, substeps=config.oversample)
+    train = Dataset(truth.states, rhs(truth.states))
+    return train, truth, _dynamics_nodes(config, truth.states)
+
+
 def gen_lorenz(config: ExperimentConfig):
     """Lorenz trajectory samples with exact derivatives, plus basis nodes.
 
     The truth trajectory starts from a seeded initial state near the
-    attractor and is integrated with RK4 micro-steps (``oversample`` per
-    output step) on the sampling grid. Nodes are a grid over the padded
-    trajectory bounding box, augmented with ``augment_count`` trajectory
-    points picked by farthest-point subsampling.
+    attractor. Nodes are a grid over the padded trajectory bounding box,
+    augmented with ``augment_count`` trajectory points picked by
+    farthest-point subsampling.
     """
-    sigma, rho, gamma = config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma
     if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=float)
     else:
         rng = np.random.default_rng(config.seed)
         x0 = np.array([-8.0, 8.0, 27.0]) + rng.uniform(-0.5, 0.5, 3)
-    n = config.n_train
-    dt = config.t_end / (n - 1)
-    truth = integrate(lorenz_rhs(sigma, rho, gamma), x0, (0.0, config.t_end), dt,
-                      substeps=config.oversample)
-    derivs = _lorenz_rhs_batch(truth.states, sigma, rho, gamma)
-    train = Dataset(truth.states, derivs)
-    nodes = _dynamics_nodes(config, truth.states)
-    return train, truth, nodes
+    rhs = lorenz_rhs(config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma)
+    return _sample_trajectory(config, rhs, x0, config.t_end)
 
 
 def gen_orbit(config: ExperimentConfig):
     """Planar-orbit trajectory samples with exact derivatives, plus basis nodes.
 
     Normalized units: gravitational parameter 1, lengths in Earth radii.
-    The trajectory starts at perigee and spans ``orbit_periods`` periods.
+    The trajectory starts at perigee and spans ``orbit_periods`` periods
+    unless ``t_end`` is set.
     """
     consts = orbit_constants(config)
     h0, period = consts["h0"], consts["period"]
-    mu, ecc, rp = config.orbit_mu, config.orbit_ecc, config.orbit_perigee
-    x0 = np.array([rp, 0.0, 0.0, h0 / rp**2])
+    x0 = np.array([config.orbit_perigee, 0.0, 0.0, h0 / config.orbit_perigee**2])
     t_end = config.t_end if config.t_end is not None else config.orbit_periods * period
-    n = config.n_train
-    dt = t_end / (n - 1)
-    truth = integrate(orbit_rhs(mu, ecc, h0), x0, (0.0, t_end), dt, substeps=config.oversample)
-    derivs = _orbit_rhs_batch(truth.states, mu, ecc, h0)
-    train = Dataset(truth.states, derivs)
-    nodes = _dynamics_nodes(config, truth.states)
-    return train, truth, nodes
+    rhs = orbit_rhs(config.orbit_mu, config.orbit_ecc, h0)
+    return _sample_trajectory(config, rhs, x0, t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -400,50 +376,54 @@ def _fit_dictionary(config: ExperimentConfig, train: Dataset):
     return dict_fit(config.dictionary(train.d), train, config.dict_threshold, config.dict_sweeps)
 
 
+def _rms(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
 def _run_static(config: ExperimentConfig, baseline: bool):
     train, test, nodes = _STATIC_GENERATORS[config.name](config)
     opts = config.solver_options()
     model = fit(nodes, train, config.beta, config.alpha, opts=opts, hull_tol=config.hull_tol)
     test_pred = predict_batch(model, test.points, opts=opts)
-    test_rms = float(np.sqrt(np.mean((test.component(0) - test_pred) ** 2)))
     extras: dict = {"n_nodes": nodes.n, "n_train": train.n, "n_test": test.n}
-    artifacts = {
-        "train": train,
-        "test": test,
-        "test_pred": test_pred,
-    }
+    columns = {"f_true": test.component(0), "f_pred": test_pred}
     if baseline:
         dmodel = _fit_dictionary(config, train)
         base_train = dict_predict_batch(dmodel, train.points)[:, 0]
         base_test = dict_predict_batch(dmodel, test.points)[:, 0]
-        extras["baseline_training_rms"] = float(
-            np.sqrt(np.mean((train.component(0) - base_train) ** 2))
-        )
-        extras["baseline_test_rms"] = float(
-            np.sqrt(np.mean((test.component(0) - base_test) ** 2))
-        )
-        artifacts["test_pred_baseline"] = base_test
-    report = Report(
-        name=config.name,
-        config=config.to_dict(),
-        training_rms=model.fit_report.training_rms,
-        test_rms=test_rms,
-        extras=extras,
-    )
-    return report, artifacts
+        extras["baseline_training_rms"] = _rms(train.component(0), base_train)
+        extras["baseline_test_rms"] = _rms(test.component(0), base_test)
+        columns["f_baseline"] = base_test
+    report = Report(name=config.name, config=config.to_dict(), extras=extras,
+                    training_rms=model.fit_report.training_rms,
+                    test_rms=_rms(test.component(0), test_pred))
+    files = {
+        "train.csv": (fileio.write_dataset_csv, train),
+        "test_predictions.csv": (fileio.write_predictions_csv, test.points, columns),
+    }
+    return report, files
 
 
 def _prefix(traj: Trajectory, n: int) -> Trajectory:
     return Trajectory(traj.times[:n], traj.states[:n])
 
 
-def _windowed_rms(model_traj: Trajectory, truth: Trajectory, t_max: float) -> float:
-    n = min(model_traj.n_samples, truth.n_samples)
-    mask = truth.times[:n] <= t_max + 1e-12
-    m = int(mask.sum())
+def _shared(a: Trajectory, truth: Trajectory, t_max: float = np.inf) -> int:
+    """Number of leading samples that ``a`` and ``truth`` both hold at times up to ``t_max``.
+
+    Both trajectories start at the same time and step on the same grid, so
+    their shared samples are the shorter one's prefix.
+    """
+    n = min(a.n_samples, truth.n_samples)
+    return int(np.sum(truth.times[:n] <= t_max + 1e-12))
+
+
+def _rms_upto(a: Trajectory, truth: Trajectory, t_max: float = np.inf) -> float:
+    """RMS state error of ``a`` over its shared samples up to ``t_max``; inf if there are none."""
+    m = _shared(a, truth, t_max)
     if m == 0:
         return float("inf")
-    return trajectory_rms(_prefix(model_traj, m), _prefix(truth, m))
+    return trajectory_rms(_prefix(a, m), _prefix(truth, m))
 
 
 def _max_deviation(model_traj: Trajectory, truth: Trajectory, t_max: float) -> float:
@@ -451,9 +431,7 @@ def _max_deviation(model_traj: Trajectory, truth: Trajectory, t_max: float) -> f
 
     A rollout that stopped before ``t_max`` deviates maximally: returns inf.
     """
-    n = min(model_traj.n_samples, truth.n_samples)
-    mask = truth.times[:n] <= t_max + 1e-12
-    m = int(mask.sum())
+    m = _shared(model_traj, truth, t_max)
     if m == 0 or model_traj.times[-1] < t_max - 1e-9:
         return float("inf")
     dev = np.linalg.norm(model_traj.states[:m] - truth.states[:m], axis=1)
@@ -465,7 +443,8 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
 
     Both rollouts start from the first training state and run over
     ``[0, horizon]`` at output step ``dt``. Returns the report holding the
-    extras every dynamics experiment shares and the trajectory artifacts.
+    extras every dynamics experiment shares, the truth rollout and the
+    surrogate rollout.
     """
     model = fit_dynamics(
         nodes, train, config.beta, config.alpha,
@@ -476,9 +455,7 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
     truth_roll = integrate(rhs, x0, (0.0, horizon), dt, substeps=config.oversample)
     model_traj = integrate(model, x0, (0.0, horizon), dt)
     stop = model_traj.domain_exit
-
-    n = min(model_traj.n_samples, truth_roll.n_samples)
-    rms_full = trajectory_rms(_prefix(model_traj, n), _prefix(truth_roll, n))
+    rms_full = _rms_upto(model_traj, truth_roll)
     extras = {
         "n_nodes": nodes.n,
         "n_train": train.n,
@@ -489,15 +466,22 @@ def _fit_and_roll(config: ExperimentConfig, train: Dataset, nodes: NodeSet, rhs,
             stop.time if stop is not None and stop.reason != "blowup" else None
         ),
     }
-    report = Report(
-        name=config.name,
-        config=config.to_dict(),
-        training_rms=float(np.sqrt(np.mean(np.square(per_component)))),
-        test_rms=rms_full,
-        extras=extras,
-    )
-    artifacts = {"train": train, "truth_traj": truth_roll, "model_traj": model_traj}
-    return report, artifacts
+    report = Report(name=config.name, config=config.to_dict(), extras=extras,
+                    training_rms=float(np.sqrt(np.mean(np.square(per_component)))),
+                    test_rms=rms_full)
+    return report, truth_roll, model_traj
+
+
+def _trajectory_files(train: Dataset, truth_roll, model_traj, base_traj=None) -> dict:
+    """Bundle entries of a dynamics experiment: training data and its rollouts."""
+    files = {
+        "train.csv": (fileio.write_dataset_csv, train),
+        "trajectory_true.csv": (fileio.write_trajectory_csv, truth_roll),
+        "trajectory_model.csv": (fileio.write_trajectory_csv, model_traj),
+    }
+    if base_traj is not None:
+        files["trajectory_baseline.csv"] = (fileio.write_trajectory_csv, base_traj)
+    return files
 
 
 def _baseline_rollout(config: ExperimentConfig, train: Dataset, horizon, dt):
@@ -518,35 +502,28 @@ def _run_lorenz(config: ExperimentConfig, baseline: bool):
     train, _, nodes = gen_lorenz(config)
     dt = config.rollout_dt if config.rollout_dt is not None else config.t_end / (config.n_train - 1)
     rhs = lorenz_rhs(config.lorenz_sigma, config.lorenz_rho, config.lorenz_gamma)
-    report, artifacts = _fit_and_roll(config, train, nodes, rhs, config.t_end, dt)
-    truth_roll = artifacts["truth_traj"]
+    report, truth_roll, model_traj = _fit_and_roll(config, train, nodes, rhs, config.t_end, dt)
     extras = report.extras
-    extras["trajectory_rms_early"] = _windowed_rms(
-        artifacts["model_traj"], truth_roll, 0.2 * config.t_end
-    )
+    extras["trajectory_rms_early"] = _rms_upto(model_traj, truth_roll, 0.2 * config.t_end)
     extras["early_window_fraction"] = 0.2
-    extras["rollout_blowup"] = _blew_up(artifacts["model_traj"])
+    extras["rollout_blowup"] = _blew_up(model_traj)
+    base_traj = None
     if baseline:
         dmodel, base_traj = _baseline_rollout(config, train, config.t_end, dt)
-        nb = min(base_traj.n_samples, truth_roll.n_samples)
-        extras["baseline_trajectory_rms_full"] = trajectory_rms(
-            _prefix(base_traj, nb), _prefix(truth_roll, nb)
-        )
+        extras["baseline_trajectory_rms_full"] = _rms_upto(base_traj, truth_roll)
         extras["baseline_rollout_blowup"] = _blew_up(base_traj)
         base_pred = dict_predict_batch(dmodel, train.points)
         extras["baseline_derivative_rms_per_component"] = [
-            float(np.sqrt(np.mean((train.values[:, j] - base_pred[:, j]) ** 2)))
-            for j in range(train.d)
+            _rms(train.values[:, j], base_pred[:, j]) for j in range(train.d)
         ]
-        artifacts["baseline_traj"] = base_traj
-    return report, artifacts
+    return report, _trajectory_files(train, truth_roll, model_traj, base_traj)
 
 
 def _run_orbit(config: ExperimentConfig, baseline: bool):
-    train, _, nodes = gen_orbit(config)
+    train, truth, nodes = gen_orbit(config)
     consts = orbit_constants(config)
     h0, period = consts["h0"], consts["period"]
-    data_t_end = config.t_end if config.t_end is not None else config.orbit_periods * period
+    data_t_end = float(truth.times[-1])
     horizon = (
         config.rollout_periods * period if config.rollout_periods is not None else data_t_end
     )
@@ -554,25 +531,22 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
         data_t_end / (config.n_train - 1), period / 200.0
     )
     rhs = orbit_rhs(config.orbit_mu, config.orbit_ecc, h0)
-    report, artifacts = _fit_and_roll(config, train, nodes, rhs, horizon, dt)
-    model_traj, truth_roll = artifacts["model_traj"], artifacts["truth_traj"]
+    report, truth_roll, model_traj = _fit_and_roll(config, train, nodes, rhs, horizon, dt)
 
-    n = min(model_traj.n_samples, truth_roll.n_samples)
-    h_err = angular_momentum_error(_prefix(model_traj, n), h0)
+    h_err = angular_momentum_error(_prefix(model_traj, _shared(model_traj, truth_roll)), h0)
     h_err_truth = angular_momentum_error(truth_roll, h0)
     extras = report.extras
     extras.update(
-        {
-            "period": period,
-            "h0": h0,
-            "rollout_horizon": horizon,
-            "rollout_completed": model_traj.domain_exit is None,
-            "max_angular_momentum_error": float(h_err.max()) if h_err.size else float("inf"),
-            "truth_max_angular_momentum_error": float(h_err_truth.max()),
-        }
+        period=period,
+        h0=h0,
+        rollout_horizon=horizon,
+        rollout_completed=model_traj.domain_exit is None,
+        max_angular_momentum_error=float(h_err.max()),
+        truth_max_angular_momentum_error=float(h_err_truth.max()),
     )
-    artifacts["h_err_model"] = h_err
-    artifacts["h_err_truth"] = h_err_truth
+    h_header = ["t", "h_err_model", "h_err_true"]
+    h_columns = [model_traj.times, h_err, h_err_truth]
+    base_traj = None
     if baseline:
         _, base_traj = _baseline_rollout(config, train, horizon, dt)
         window = 0.1 * period
@@ -585,17 +559,15 @@ def _run_orbit(config: ExperimentConfig, baseline: bool):
         extras["baseline_deviation_ratio"] = (
             base_dev / maxent_dev if maxent_dev > 0 else float("inf")
         )
-        # Both trajectories hold at least the initial state, so nb >= 1.
-        nb = min(base_traj.n_samples, truth_roll.n_samples)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_ok = np.all(base_traj.states[:nb, 0] > 0)
-        extras["baseline_trajectory_rms_prefix"] = trajectory_rms(
-            _prefix(base_traj, nb), _prefix(truth_roll, nb)
-        )
-        if r_ok:
-            artifacts["h_err_baseline"] = angular_momentum_error(_prefix(base_traj, nb), h0)
-        artifacts["baseline_traj"] = base_traj
-    return report, artifacts
+        extras["baseline_trajectory_rms_prefix"] = _rms_upto(base_traj, truth_roll)
+        # Both trajectories hold at least the initial state, so the prefix is not empty.
+        base_prefix = _prefix(base_traj, _shared(base_traj, truth_roll))
+        if np.all(base_prefix.states[:, 0] > 0):
+            h_header.append("h_err_baseline")
+            h_columns.append(angular_momentum_error(base_prefix, h0))
+    files = _trajectory_files(train, truth_roll, model_traj, base_traj)
+    files["angular_momentum.csv"] = (fileio.write_series_csv, h_header, h_columns)
+    return report, files
 
 
 def run_experiment(
@@ -609,17 +581,22 @@ def run_experiment(
     Generates the data, fits the approximant or surrogate, evaluates the
     headline errors, and (optionally) writes the artifact bundle to
     ``out_dir``: ``report.json``, ``train.csv``, and either
-    ``test_predictions.csv`` or the trajectory CSV pair.
+    ``test_predictions.csv`` or the trajectory CSVs (plus
+    ``angular_momentum.csv`` for the orbits).
     """
     config = apply_overrides(default_config(name), overrides)
     start = time.perf_counter()
     if name in _STATIC_GENERATORS:
-        report, artifacts = _run_static(config, baseline)
+        report, files = _run_static(config, baseline)
     elif name == "lorenz":
-        report, artifacts = _run_lorenz(config, baseline)
+        report, files = _run_lorenz(config, baseline)
     else:
-        report, artifacts = _run_orbit(config, baseline)
+        report, files = _run_orbit(config, baseline)
     report.runtime_s = time.perf_counter() - start
     if out_dir is not None:
-        fileio.write_experiment_artifacts(out_dir, report, artifacts)
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        fileio.write_json(out / "report.json", report.to_json_dict())
+        for file_name, (write, *args) in files.items():
+            write(out / file_name, *args)
     return report

@@ -37,7 +37,7 @@ from .errors import (
     FitError,
     OutsideHullError,
 )
-from .geometry import NodeSet, augment_nodes, grid_nodes
+from .geometry import NodeSet, augment_nodes, grid_nodes, padded_bounds
 from .geometry import in_hull  # noqa: F401  (perfbench/test_perfbench.py traces this binding)
 from .maxent import SolverOptions, basis_matrix
 from .approximator import Approximant, check_converged, fit
@@ -63,8 +63,9 @@ class RunConfig:
     """Configuration for fit/eval/simulate; all defaults are explicit here.
 
     ``grid_bounds = None`` derives the node grid from the data bounding box
-    padded by ``pad_fraction`` per axis; ``nodes_from_data`` uses the data
-    points themselves as nodes instead of a grid.
+    padded by ``pad_fraction`` per axis (see :func:`geometry.padded_bounds`);
+    ``nodes_from_data`` uses the data points themselves as nodes instead of
+    a grid.
     """
 
     seed: int = 0
@@ -133,11 +134,7 @@ def _build_nodes(config: RunConfig, points: np.ndarray) -> NodeSet:
                 f"grid_bounds has {len(bounds)} axes for {points.shape[1]}-dimensional data"
             )
     else:
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
-        pad = config.pad_fraction * (hi - lo)
-        pad = np.where(pad > 0, pad, 1.0)  # degenerate extent: pad by a unit
-        bounds = [[float(l - p), float(h + p)] for l, h, p in zip(lo, hi, pad)]
+        bounds = padded_bounds(points, config.pad_fraction)
     grid = grid_nodes(bounds, config.grid_counts)
     if config.augment_count > 0:
         grid = augment_nodes(grid, points, config.augment_count, seed=config.seed)

@@ -187,23 +187,26 @@ def integrate(field, x0, t_span, dt: float, substeps: int = 1) -> Trajectory:
 
     times = _time_grid(t0, t1, dt)
     states = [x]
-    for i in range(times.size - 1):
-        h = (times[i + 1] - times[i]) / substeps
-        cur = states[-1]
-        reason = point = None
-        try:
-            for _ in range(substeps):
-                cur = _rk4_step(f, cur, h)
-        except OutsideHullError as err:
-            reason, point = "left_hull", err.point
-        except FitError:
-            reason = "nonconverged"
-        if reason is None and not np.all(np.isfinite(cur)):
-            reason = "blowup"
-        if reason is not None:
-            stop = DomainExit(reason, float(times[i]), states[-1], point)
-            return Trajectory(times[: i + 1], np.vstack(states), stop)
-        states.append(cur)
+    # A step that overflows is caught below and reported as "blowup", so
+    # numpy's floating-point warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(times.size - 1):
+            h = (times[i + 1] - times[i]) / substeps
+            cur = states[-1]
+            reason = point = None
+            try:
+                for _ in range(substeps):
+                    cur = _rk4_step(f, cur, h)
+            except OutsideHullError as err:
+                reason, point = "left_hull", err.point
+            except FitError:
+                reason = "nonconverged"
+            if reason is None and not np.all(np.isfinite(cur)):
+                reason = "blowup"
+            if reason is not None:
+                stop = DomainExit(reason, float(times[i]), states[-1], point)
+                return Trajectory(times[: i + 1], np.vstack(states), stop)
+            states.append(cur)
     return Trajectory(times=times, states=np.vstack(states))
 
 

@@ -1,5 +1,8 @@
 """CSV and JSON formats for datasets, models, trajectories, and reports.
 
+The formats only: which files an experiment bundle holds is up to
+:mod:`maxentfit.bench`.
+
 All floats are written with ``repr``, the shortest string that parses back
 to the identical double, so every artifact round-trips exactly and
 fixed-seed runs are byte-identical. CSV files are UTF-8, comma-separated,
@@ -146,6 +149,11 @@ def write_series_csv(path, header: list[str], columns: list[np.ndarray]) -> None
     _write_rows(path, header, np.column_stack([c[:n] for c in columns]))
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON: sorted keys, 2-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
@@ -173,7 +181,7 @@ def save_model(path, model) -> None:
         "nodes": model.nodes.nodes.tolist(),
         **fitted,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_model(path):
@@ -248,36 +256,3 @@ def _is_json_of(value, tp) -> bool:
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, tp)  # bool, str, None
-
-
-# ---------------------------------------------------------------------------
-# Experiment artifacts
-# ---------------------------------------------------------------------------
-
-def write_experiment_artifacts(out_dir, report, artifacts: dict) -> None:
-    """Write the artifact bundle of one experiment run into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_dataset_csv(out / "train.csv", artifacts["train"])
-    if "test" in artifacts:
-        test = artifacts["test"]
-        columns = {"f_true": test.component(0), "f_pred": artifacts["test_pred"]}
-        if "test_pred_baseline" in artifacts:
-            columns["f_baseline"] = artifacts["test_pred_baseline"]
-        write_predictions_csv(out / "test_predictions.csv", test.points, columns)
-    if "truth_traj" in artifacts:
-        write_trajectory_csv(out / "trajectory_true.csv", artifacts["truth_traj"])
-        write_trajectory_csv(out / "trajectory_model.csv", artifacts["model_traj"])
-        if "baseline_traj" in artifacts:
-            write_trajectory_csv(out / "trajectory_baseline.csv", artifacts["baseline_traj"])
-    if "h_err_model" in artifacts:
-        model_traj = artifacts["model_traj"]
-        header = ["t", "h_err_model", "h_err_true"]
-        columns = [model_traj.times, artifacts["h_err_model"], artifacts["h_err_truth"]]
-        if "h_err_baseline" in artifacts:
-            header.append("h_err_baseline")
-            columns.append(artifacts["h_err_baseline"])
-        write_series_csv(out / "angular_momentum.csv", header, columns)

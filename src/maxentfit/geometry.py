@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AugmentationWarning, ConfigError, DimensionError
+from .errors import AugmentationWarning, ConfigError, DimensionError, FitError
 
 #: Default absolute tolerance, in node coordinates, for hull membership.
 DEFAULT_HULL_TOL = 1e-9
@@ -143,7 +143,9 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
     certifies a strictly positive convex combination (interior) and
     ``s* = 0`` a combination that needs a zero weight (boundary).
     Infeasibility means no convex combination reproduces ``x`` within
-    ``tol``: ``x`` is outside.
+    ``tol``: ``x`` is outside. Any other unsuccessful end of the LP (HiGHS
+    numerical difficulties, an iteration limit) decides nothing and raises
+    :class:`FitError`.
 
     Returns
     -------
@@ -187,8 +189,10 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
         method="highs",
         options=_LP_OPTIONS,
     )
-    if not res.success:
+    if res.status == 2:  # infeasible
         return HullLocation.OUTSIDE, None
+    if not res.success:
+        raise FitError(f"hull LP failed with HiGHS status {res.status}: {res.message}")
     s = float(res.x[-1])
     w = res.x[:n]
     if s > _WEIGHT_MARGIN:
@@ -209,6 +213,22 @@ def in_hull(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL) -> HullLocation:
     if np.all(x > lo + tol) and np.all(x < hi - tol):
         return HullLocation.INTERIOR
     return HullLocation.BOUNDARY
+
+
+def padded_bounds(points: np.ndarray, pad_fraction: float) -> list:
+    """Bounding box of ``points`` widened by ``pad_fraction`` of its extent per axis.
+
+    An axis of zero extent (a conserved coordinate, a constant column) is
+    widened by ``pad_fraction * max(1, |value|)`` instead; ``pad_fraction``
+    0 gives the tight box.
+    """
+    if not pad_fraction >= 0:
+        raise ConfigError(f"pad_fraction must be nonnegative, got {pad_fraction}")
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    floor = pad_fraction * np.maximum(1.0, np.abs(0.5 * (lo + hi)))
+    pad = np.where(hi > lo, pad_fraction * (hi - lo), floor)
+    return [[float(l - p), float(h + p)] for l, h, p in zip(lo, hi, pad)]
 
 
 def grid_nodes(bounds, counts) -> NodeSet:

@@ -12,7 +12,7 @@ from maxentfit import (
     integrate,
     trajectory_rms,
 )
-from maxentfit.bench import _lorenz_rhs_batch, lorenz_rhs
+from maxentfit.bench import lorenz_rhs
 
 
 class TestDictionary:
@@ -67,7 +67,7 @@ class TestDictFit:
         sigma, rho, gamma = 10.0, 28.0, 8.0 / 3.0
         traj = integrate(lorenz_rhs(sigma, rho, gamma), [-8.0, 8.0, 27.0], (0.0, 5.0), 0.01)
         states = traj.states
-        derivs = _lorenz_rhs_batch(states, sigma, rho, gamma)
+        derivs = lorenz_rhs(sigma, rho, gamma)(states)
         d = Dictionary(dimension=3, degree=2, trig=False)
         model = dict_fit(d, Dataset(states, derivs), threshold=0.05)
         c = model.coefficients
@@ -84,7 +84,7 @@ class TestDictFit:
         sigma, rho, gamma = 10.0, 28.0, 8.0 / 3.0
         rhs = lorenz_rhs(sigma, rho, gamma)
         traj = integrate(rhs, [-8.0, 8.0, 27.0], (0.0, 5.0), 0.01)
-        derivs = _lorenz_rhs_batch(traj.states, sigma, rho, gamma)
+        derivs = lorenz_rhs(sigma, rho, gamma)(traj.states)
         d = Dictionary(dimension=3, degree=2, trig=False)
         model = dict_fit(d, Dataset(traj.states, derivs), threshold=0.05)
         x0 = [1.0, 1.0, 1.0]

@@ -7,6 +7,7 @@ import pytest
 from maxentfit import (
     ConfigError,
     HullLocation,
+    Trajectory,
     in_hull,
     integrate,
 )
@@ -25,6 +26,8 @@ from maxentfit.bench import (
     orbit_rhs,
     run_experiment,
     _gauss2d_fn,
+    _max_deviation,
+    _rms_upto,
     _rosenbrock_fn,
 )
 
@@ -43,6 +46,14 @@ class TestConfigs:
     def test_override_applies(self):
         cfg = apply_overrides(default_config("sine"), {"beta": 0.0, "seed": 3})
         assert cfg.beta == 0.0 and cfg.seed == 3
+
+    def test_each_call_gets_fresh_lists(self):
+        first = default_config("gauss2d")
+        first.bounds[0][1] = 9.0
+        first.grid_counts.append(3)
+        second = default_config("gauss2d")
+        assert second.bounds == [[0.0, 1.0], [0.0, 1.0]]
+        assert second.grid_counts == [8, 8]
 
     def test_config_round_trips_through_dict(self):
         cfg = default_config("lorenz")
@@ -224,3 +235,67 @@ class TestRunExperiment:
         assert payload["test_rms"] == report.test_rms
         assert payload["extras"] == json.loads(json.dumps(report.extras))
         assert payload["config"] == report.config
+
+
+# File name -> header row of each --baseline bundle.
+BUNDLES = {
+    "sine": {
+        "report.json": None,
+        "train.csv": "x1,f",
+        "test_predictions.csv": "x1,f_true,f_pred,f_baseline",
+    },
+    "lorenz": {
+        "report.json": None,
+        "train.csv": "x1,x2,x3,dx1,dx2,dx3",
+        "trajectory_true.csv": "t,x1,x2,x3",
+        "trajectory_model.csv": "t,x1,x2,x3",
+        "trajectory_baseline.csv": "t,x1,x2,x3",
+    },
+    "orbit-sparse": {
+        "report.json": None,
+        "train.csv": "x1,x2,x3,x4,dx1,dx2,dx3,dx4",
+        "trajectory_true.csv": "t,x1,x2,x3,x4",
+        "trajectory_model.csv": "t,x1,x2,x3,x4",
+        "trajectory_baseline.csv": "t,x1,x2,x3,x4",
+        "angular_momentum.csv": "t,h_err_model,h_err_true,h_err_baseline",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_baseline_bundle_files_and_headers(tmp_path, name):
+    run_experiment(name, baseline=True, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BUNDLES[name])
+    for file_name, header in BUNDLES[name].items():
+        if header is not None:
+            assert (tmp_path / file_name).read_text().splitlines()[0] == header
+
+
+def _traj(n, offset=0.0, d=2):
+    """``n`` samples at times 0, 0.1, ...; every state component equals ``offset``."""
+    return Trajectory(0.1 * np.arange(n), np.full((n, d), offset))
+
+
+class TestSharedPrefix:
+    def test_rms_covers_only_the_shared_prefix(self):
+        truth = _traj(11)
+        truncated = _traj(3, offset=2.0)
+        assert _rms_upto(truncated, truth) == 2.0
+        assert _rms_upto(truth, truncated) == 2.0
+
+    def test_rms_window_counts_samples_up_to_t_max(self):
+        truth = _traj(11)
+        states = np.zeros((11, 2))
+        states[5:] = 1.0  # off the truth only after t = 0.4
+        model = Trajectory(truth.times, states)
+        assert _rms_upto(model, truth, 0.4) == 0.0
+        assert _rms_upto(model, truth) > 0.0
+
+    def test_empty_window_is_inf(self):
+        assert _rms_upto(_traj(5), _traj(5), -1.0) == np.inf
+        assert _max_deviation(_traj(5), _traj(5), -1.0) == np.inf
+
+    def test_deviation_of_a_rollout_stopped_before_the_window_is_inf(self):
+        truth = _traj(11)
+        assert _max_deviation(_traj(4), truth, 0.5) == np.inf
+        assert _max_deviation(_traj(6, offset=0.5), truth, 0.5) == pytest.approx(0.5 * np.sqrt(2))

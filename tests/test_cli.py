@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,23 @@ class TestFitEval:
                      "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
         assert "'beta'" in capsys.readouterr().err
 
+    def test_negative_pad_fraction_exits_2_naming_key(self, tmp_path, sine_files, capsys):
+        data, config = sine_files
+        config.write_text(json.dumps({"grid_counts": [10], "pad_fraction": -0.1}))
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        assert "pad_fraction" in capsys.readouterr().err
+
+    def test_zero_pad_fraction_spans_the_data_box(self, tmp_path, sine_files):
+        data, config = sine_files
+        config.write_text(json.dumps({"beta": 100.0, "grid_counts": [10], "pad_fraction": 0}))
+        model_file = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(model_file)]) == EXIT_OK
+        nodes = np.asarray(json.loads(model_file.read_text())["nodes"])
+        xs = fileio.read_dataset_csv(data).points
+        assert (nodes.min(), nodes.max()) == (xs.min(), xs.max())
+
     def test_nodes_from_data_interpolates(self, tmp_path):
         rng = np.random.default_rng(1)
         xs = np.sort(rng.uniform(0, 1, 15))
@@ -327,12 +345,16 @@ class TestSimulate:
         payload["coefficients"] = [[1e308]] * len(payload["coefficients"])
         decay_model.write_text(json.dumps(payload))
         out = tmp_path / "t.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the one stderr line reports the overflow; numpy adds no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["simulate", "--model", str(decay_model), "--x0", "0.0",
                          "--t1", "1000", "--dt", "1000", "--out", str(out)])
         assert code == EXIT_BLOWUP
+        assert caught == []
         assert out.read_text().splitlines() == ["t,x1", "0.0,0.0"]
-        assert "(blowup); last valid time t=0.0;" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "(blowup); last valid time t=0.0;" in err[0]
 
     def test_nonconverged_stage_exits_4(self, tmp_path):
         # 5e-10 past the edge of a 4x4 box grid: inside the hull tolerance,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,14 @@ class TestIntegrate:
         assert traj.domain_exit.reason == "blowup"
         assert traj.times[-1] == traj.domain_exit.time < 2.0
         assert np.all(np.isfinite(traj.states))
+
+    def test_blowup_emits_no_floating_point_warning(self):
+        # the overflow is reported once, as the "blowup" record
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = integrate(lambda s: s**3, [2.0], (0.0, 10.0), 0.5)
+        assert traj.domain_exit.reason == "blowup"
+        assert caught == []
 
 
 class TestTrajectoryRms:

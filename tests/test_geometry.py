@@ -12,6 +12,7 @@ from maxentfit import (
     AugmentationWarning,
     ConfigError,
     DimensionError,
+    FitError,
     HullLocation,
     NodeSet,
     augment_nodes,
@@ -117,6 +118,20 @@ class TestInHull:
             assert hull_weights(cube, [0.0, 0.0, z], 1e-9)[0] is expected, z
             assert in_hull(cube, [0.0, 0.0, z], 1e-9) is expected, z
 
+    def test_lp_numerical_difficulty_is_not_outside(self, monkeypatch):
+        # Only an infeasible LP (HiGHS status 2) certifies OUTSIDE; status 4
+        # (numerical difficulties) decides nothing and is reported.
+        import scipy.optimize
+
+        failed = scipy.optimize.OptimizeResult(
+            status=4, success=False, message="Numerical difficulties", x=None
+        )
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        with pytest.raises(FitError, match="status 4.*Numerical difficulties"):
+            hull_weights(TRIANGLE, [0.2, 0.2])
+        with pytest.raises(FitError, match="status 4"):
+            in_hull(TRIANGLE, [0.2, 0.2])
+
     def test_box_fast_path_matches_lp(self):
         grid = grid_nodes([(0.0, 1.0), (0.0, 2.0)], [4, 4])
         rng = np.random.default_rng(3)
@@ -213,6 +228,12 @@ class TestGridNodes:
             x = rng.uniform(0.01, 0.99, 2)
             assert in_hull(g, x) is HullLocation.INTERIOR
         assert in_hull(g, [0.5, 1.0 + 1e-6]) is HullLocation.OUTSIDE
+
+
+def test_padded_bounds_pads_constant_axes_by_their_magnitude():
+    pts = np.array([[0.0, 5.0], [2.0, 5.0]])
+    # the constant axis at 5 is padded by 0.1 * max(1, |5|)
+    assert geometry.padded_bounds(pts, 0.1) == [[-0.2, 2.2], [4.5, 5.5]]
 
 
 class TestAugmentNodes:
