@@ -161,6 +161,9 @@ def hull_weights(nodes: NodeSet, x, tol: float = DEFAULT_HULL_TOL):
         raise ConfigError(f"hull tolerance must be positive, got {tol}")
     n, d = nodes.n, nodes.d
     pts = nodes.nodes
+    # Infeasible for the LP, where HiGHS can end in status 4 on near-coincident nodes.
+    if np.any(x < pts.min(axis=0) - tol) or np.any(x > pts.max(axis=0) + tol):
+        return HullLocation.OUTSIDE, None
     # The optimizer saturates the reproduction slack; shrink it slightly so
     # returned certificates satisfy the public <= tol bound despite LP
     # arithmetic rounding.

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the 1-D
 basis weights come from bisection on the scalar dual gradient, the dual
-derivatives from central finite differences of the dual value, and the
-large-beta limit from Qhull's Delaunay triangulation.
+derivatives from central finite differences of the dual value, the
+large-beta limit from Qhull's Delaunay triangulation, and l1 coefficients
+from a bound-constrained quasi-Newton solve over split variables.
 """
 
 from __future__ import annotations
@@ -176,3 +177,34 @@ def delaunay_weights(nodes, x):
         weights, tri.simplices[simplex], np.column_stack([bary, 1.0 - bary.sum(axis=1)]), axis=1
     )
     return weights
+
+
+def sqrt_lasso_reference(psi_mat, y, alpha, maxiter=20000):
+    """Coefficients minimizing ``||psi_mat a - y|| + alpha ||a||_1``, by L-BFGS-B.
+
+    Splits ``a = u - v`` with ``u, v >= 0`` so the penalty is the smooth
+    ``alpha * sum(u + v)``, and minimizes over the ``2 p`` bounded
+    variables from zero. Any point's objective bounds the optimum from
+    above, so a solver that claims the optimum may not end above this one.
+    """
+    from scipy.optimize import minimize
+
+    psi_mat = np.asarray(psi_mat, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = psi_mat.shape[1]
+
+    def objective(uv):
+        r = psi_mat @ (uv[:p] - uv[p:]) - y
+        nr = float(np.linalg.norm(r))
+        grad = psi_mat.T @ r / nr if nr > 0 else np.zeros(p)
+        return nr + alpha * uv.sum(), np.concatenate([grad, -grad]) + alpha
+
+    res = minimize(
+        objective,
+        np.zeros(2 * p),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * p),
+        options={"maxiter": maxiter, "maxfun": 2 * maxiter, "ftol": 1e-15, "gtol": 1e-12},
+    )
+    return res.x[:p] - res.x[p:]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentfit import (
     Approximant,
@@ -16,8 +18,11 @@ from maxentfit import (
     predict,
     predict_batch,
 )
-from maxentfit.approximator import l1_fit, l1_optimality_residual, solve_coefficients
+from maxentfit import bench
+from maxentfit.approximator import l1_optimality_residual, solve_coefficients
 from maxentfit.maxent import basis_matrix
+
+from .oracles import sqrt_lasso_reference
 
 
 def rms(model, data):
@@ -153,6 +158,29 @@ class TestPredict:
         assert exc.value.failed_indices == (1,)
 
 
+def l1_objective(psi, y, alpha, a):
+    return float(np.linalg.norm(psi @ a - y) + alpha * np.abs(a).sum())
+
+
+def certified(psi, y, alpha, a):
+    return l1_optimality_residual(psi, y, alpha, a) <= 1e-8 * (1.0 + np.abs(a).max(initial=0.0))
+
+
+@pytest.fixture(scope="module")
+def oracle_bases():
+    """The gauss2d basis (8x8 nodes, beta 10) and a small Lorenz basis, with targets."""
+    g_train, _, g_nodes = bench.gen_gauss2d(bench.default_config("gauss2d"))
+    config = bench.apply_overrides(
+        bench.default_config("lorenz"),
+        {"n_train": 100, "t_end": 1.0, "grid_counts": [3, 3, 3], "augment_count": 20},
+    )
+    l_train, _, l_nodes = bench.gen_lorenz(config)
+    return {
+        "gauss2d": (basis_matrix(g_nodes, g_train.points, 10.0)[0], g_train.component(0)),
+        "lorenz": (basis_matrix(l_nodes, l_train.points, config.beta)[0], l_train.component(0)),
+    }
+
+
 class TestL1Solver:
     @staticmethod
     def random_instance(rng, n=30, p=8):
@@ -161,49 +189,40 @@ class TestL1Solver:
         y = rng.normal(size=n)
         return psi, y
 
-    def test_objective_monotone(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            psi, y = self.random_instance(rng)
-            _, _, history = l1_fit(psi, y, alpha=0.01)
-            diffs = np.diff(history)
-            assert np.all(diffs <= 1e-12)
-
     def test_optimality_certificate(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             psi, y = self.random_instance(rng)
-            a, _, _ = l1_fit(psi, y, alpha=0.05)
-            res = l1_optimality_residual(psi, y, 0.05, a)
-            assert res <= 1e-6 * (1.0 + np.abs(a).max(initial=0.0))
+            a, _ = solve_coefficients(psi, y, alpha=0.05)
+            assert certified(psi, y, 0.05, a)
 
     def test_matches_dense_grid_search_two_coefficients(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             psi, y = self.random_instance(rng, n=20, p=2)
             alpha = 0.1
-            a, _, _ = l1_fit(psi, y, alpha)
+            a, _ = solve_coefficients(psi, y, alpha)
             grid = np.linspace(-3.0, 3.0, 601)
             aa, bb = np.meshgrid(grid, grid, indexing="ij")
             cand = np.stack([aa.ravel(), bb.ravel()], axis=1)
             resid = cand @ psi.T - y
             objs = np.linalg.norm(resid, axis=1) + alpha * np.abs(cand).sum(axis=1)
             best = objs.min()
-            mine = float(np.linalg.norm(psi @ a - y) + alpha * np.abs(a).sum())
             # grid spacing 0.01 bounds how close the dense search can get
-            assert mine <= best + 1e-3
+            assert l1_objective(psi, y, alpha, a) <= best + 1e-3
 
     def test_alpha_zero_matches_direct_least_squares(self):
         rng = np.random.default_rng(10)
         psi, y = self.random_instance(rng)
-        a_iter, _, _ = l1_fit(psi, y, alpha=0.0)
+        a, iterations = solve_coefficients(psi, y, alpha=0.0)
         a_direct = np.linalg.lstsq(psi, y, rcond=None)[0]
-        np.testing.assert_allclose(a_iter, a_direct, rtol=1e-8)
+        np.testing.assert_allclose(a, a_direct, rtol=1e-8)
+        assert iterations == 0
 
     def test_large_alpha_zeroes_out(self):
         rng = np.random.default_rng(11)
         psi, y = self.random_instance(rng)
-        a, _, _ = l1_fit(psi, y, alpha=1e3)
+        a, _ = solve_coefficients(psi, y, alpha=1e3)
         np.testing.assert_allclose(a, 0.0, atol=1e-9)
 
     def test_solve_coefficients_min_norm_on_rank_deficient(self):
@@ -213,6 +232,42 @@ class TestL1Solver:
         a, _ = solve_coefficients(psi, y, alpha=0.0)
         # minimum-norm solution spreads evenly over identical columns
         np.testing.assert_allclose(a, np.full(4, a[0]), atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1e-1])
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    @pytest.mark.parametrize("basis", ["gauss2d", "lorenz"])
+    def test_matches_independent_optimum(self, oracle_bases, basis, noise, alpha):
+        psi, y = oracle_bases[basis]
+        y = y + noise * np.random.default_rng(15).normal(size=y.shape)
+        a, _ = solve_coefficients(psi, y, alpha)
+        assert certified(psi, y, alpha, a)
+        reference = sqrt_lasso_reference(psi, y, alpha)
+        assert l1_objective(psi, y, alpha, a) <= l1_objective(psi, y, alpha, reference) * (1 + 1e-9)
+
+    def test_interpolant_certifies(self):
+        # A square well-conditioned basis: small alpha keeps the interpolant,
+        # where the residual is zero and eps / ||eps|| is undefined.
+        rng = np.random.default_rng(16)
+        psi = np.eye(6) + 0.1 * rng.uniform(0, 1, (6, 6))
+        y = rng.normal(size=6)
+        a, _ = solve_coefficients(psi, y, alpha=1e-3)
+        assert np.linalg.norm(psi @ a - y) <= 1e-12
+        assert certified(psi, y, 1e-3, a)
+
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12), st.floats(1e-4, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_or_fit_error(self, data, n, p, alpha):
+        entries = st.floats(-1.0, 1.0, allow_nan=False)
+        psi = np.array(data.draw(st.lists(entries, min_size=n * p, max_size=n * p))).reshape(n, p)
+        duplicates = data.draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))))
+        for src, dst in duplicates:
+            psi[:, dst] = psi[:, src]
+        y = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        try:
+            a, _ = solve_coefficients(psi, y, alpha)
+        except FitError:
+            return
+        assert certified(psi, y, alpha, a)
 
 
 class TestSparsificationWorkflow:

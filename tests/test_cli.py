@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentfit import Dataset, fileio, geometry, predict
+from maxentfit import Dataset, basis_matrix, fileio, geometry, predict
+from maxentfit.approximator import l1_optimality_residual
 from maxentfit.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -229,6 +230,24 @@ class TestFitEval:
         assert main(["fit", "--data", str(data), "--config", str(config),
                      "--out", str(model_file)]) == EXIT_OK
         assert fileio.load_model(model_file).fit_report.training_rms <= 1e-10
+
+    def test_nodes_from_data_l1_certifies(self, tmp_path):
+        # The basis matrix is square and well conditioned, so at a small
+        # alpha the optimum interpolates and its residual is zero.
+        rng = np.random.default_rng(1)
+        xs = np.sort(rng.uniform(0, 1, 15))
+        data = tmp_path / "train.csv"
+        write_scalar_csv(data, xs, np.sin(2 * np.pi * xs))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"beta": 100.0, "nodes_from_data": True, "alpha": 1e-4}))
+        model_file = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(model_file)]) == EXIT_OK
+        model = fileio.load_model(model_file)
+        psi, _ = basis_matrix(model.nodes, xs[:, None], model.beta)
+        a = model.coefficients
+        certificate = l1_optimality_residual(psi, np.sin(2 * np.pi * xs), 1e-4, a)
+        assert certificate <= 1e-8 * (1.0 + np.abs(a).max())
 
 
 def _edited_model(tmp_path, sine_files, edit):

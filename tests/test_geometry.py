@@ -132,6 +132,13 @@ class TestInHull:
         with pytest.raises(FitError, match="status 4"):
             in_hull(TRIANGLE, [0.2, 0.2])
 
+    def test_query_outside_bounding_box_skips_the_lp(self):
+        # HiGHS ends in status 4 on these near-coincident nodes even for
+        # queries far outside; the bounding box decides them first.
+        nodes = NodeSet(np.array([[1.0], [2.0], [1.0 + 1e-9], [1.0]]))
+        for x in (1.0 - 3e-8, 0.5):
+            assert hull_weights(nodes, [x], 1e-8) == (HullLocation.OUTSIDE, None), x
+
     def test_box_fast_path_matches_lp(self):
         grid = grid_nodes([(0.0, 1.0), (0.0, 2.0)], [4, 4])
         rng = np.random.default_rng(3)
